@@ -13,10 +13,10 @@ import sys
 import numpy as np
 
 from . import tableio
-from .errors import RangeError, RoughIRError
+from .errors import InterpolationError, RangeError, RoughIRError
 from .experiments import EXPERIMENT_NAMES, run_experiment
 from .gaussian import build_variance_table, estimate_H, invert_Lambda2
-from .pathio import read_path, write_path
+from .pathio import _atomic_write, read_path, write_path
 from .simulate import SIM_KINDS, SimSpec, simulate
 from .stable import build_stable_table, estimate_alpha
 from .statistics import r_local, r_pn
@@ -83,7 +83,7 @@ def cmd_estimate(args):
         table = _load_or_build("gaussian", args)
         try:
             est = estimate_H(path, table, conf=args.confidence)
-        except RangeError as e:
+        except (RangeError, InterpolationError) as e:
             print("\n".join(out))
             print(f"error: {e}", file=sys.stderr)
             return EXIT_VERDICT
@@ -109,8 +109,7 @@ def cmd_estimate(args):
     text = "\n".join(out)
     print(text)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        _atomic_write(args.out, text + "\n")
     return EXIT_OK
 
 

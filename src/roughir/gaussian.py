@@ -109,17 +109,22 @@ def invert_Lambda2(v, tol=1e-10):
 def fbm_increment_cov(p, H, j):
     """Covariance of unit-grid p-order fBm increments at integer lag j.
 
-    p=1: (|j+1|^2H + |j-1|^2H - 2|j|^2H) / 2
+    p=1: (|j+1|^2H + |j-1|^2H - 2|j|^2H) / 2   (the fGn autocovariance)
     p=2: (-|j+2|^2H + 4|j+1|^2H - 6|j|^2H + 4|j-1|^2H - |j-2|^2H) / 2
+
+    j may be a scalar (a float is returned) or an array of lags (an array
+    of the same shape is returned).
     """
     _check_H(H)
-    j = abs(float(j))
+    # [()] turns a 0-d array into a numpy scalar, whose scalar pow matches
+    # Python floats bit for bit (the array pow loop may differ in the last bit)
+    j = np.abs(np.asarray(j, dtype=float))[()]
     h2 = 2.0 * H
     if p == 1:
-        return 0.5 * ((j + 1) ** h2 + abs(j - 1) ** h2 - 2 * j**h2)
+        return 0.5 * ((j + 1) ** h2 + np.abs(j - 1) ** h2 - 2 * j**h2)
     if p == 2:
         return 0.5 * (-((j + 2) ** h2) + 4 * (j + 1) ** h2 - 6 * j**h2
-                      + 4 * abs(j - 1) ** h2 - abs(j - 2) ** h2)
+                      + 4 * np.abs(j - 1) ** h2 - np.abs(j - 2) ** h2)
     raise DomainError(f"closed-form covariance only for p in {{1,2}}, got p={p}")
 
 
@@ -214,7 +219,6 @@ class VarianceTable:
     reps: int
     path_len: int
     seed: int
-    lag_truncation: int = 50  # J used by the companion lag-sum cross-check
 
     def __post_init__(self):
         for name in ("h_grid", "sigma1", "sigma1_stderr", "sigma2", "sigma2_stderr"):

@@ -18,9 +18,10 @@ import scipy.special
 
 from .errors import (DomainError, FactorizationError, ResolutionError,
                      SimulationError, SizeError)
+from .gaussian import _check_H, fbm_increment_cov
 from .increments import SampledPath
 from .rng import derive_rng
-from .stable import sym_stable_from_uniform_exp
+from .stable import sample_sym_stable
 
 MBM_DEFAULT_MAX_N = 8192  # dense factorization is O(n^3); cap unless overridden
 
@@ -29,60 +30,52 @@ MBM_DEFAULT_MAX_N = 8192  # dense factorization is O(n^3); cap unless overridden
 # fractional Brownian motion
 # ----------------------------------------------------------------------
 
-def fgn_autocov(H, lags):
-    """Autocovariance of unit-variance fractional Gaussian noise."""
-    j = np.abs(np.asarray(lags, dtype=float))
-    return 0.5 * ((j + 1) ** (2 * H) + np.abs(j - 1) ** (2 * H) - 2 * j ** (2 * H))
+def _path_from_increments(inc):
+    """Path on j/n with X_0 = 0 whose increments are inc."""
+    out = np.empty(inc.size + 1)
+    out[0] = 0.0
+    np.cumsum(inc, out=out[1:])
+    return SampledPath(out)
 
 
 @functools.lru_cache(maxsize=16)
 def _fgn_embedding_eigs(n, H):
-    """Eigenvalues of the 2n circulant embedding of the fGn covariance.
-
-    Returns None when any eigenvalue is materially negative (does not
-    happen for fGn, but the caller keeps a Cholesky fallback).
-    """
-    r = fgn_autocov(H, np.arange(n + 1))
+    """Eigenvalues of the 2n circulant embedding of the fGn covariance;
+    FactorizationError when any is materially negative (for H in
+    [0.001, 0.999] only at n >= 2^18 with H near 1)."""
+    r = fbm_increment_cov(1, H, np.arange(n + 1))
     row = np.concatenate([r, r[-2:0:-1]])
     eig = np.fft.rfft(row).real
     if eig.min() < -1e-9 * eig.max():
-        return None
+        raise FactorizationError(
+            f"circulant embedding of fGn with n={n}, H={H} has negative eigenvalues "
+            f"(min {eig.min():.3e}); no exact sampler for this grid size"
+        )
     eig = np.maximum(eig, 0.0)
     eig.flags.writeable = False
     return eig
 
 
-@functools.lru_cache(maxsize=4)
-def _fgn_cholesky(n, H):
-    cov = scipy.linalg.toeplitz(fgn_autocov(H, np.arange(n)))
-    L = np.linalg.cholesky(cov)
-    L.flags.writeable = False
-    return L
-
-
 class FbmSampler:
     """Reusable exact-in-law sampler of fractional Brownian paths.
 
-    Circulant embedding (Davies-Harte) when the embedding eigenvalues are
-    nonnegative, dense Cholesky otherwise.  Construct once per (n, H) and
-    draw many paths.
+    Circulant embedding (Davies-Harte) only: construction raises
+    FactorizationError where the embedding eigenvalues go negative
+    (very large n with H near 1).  Construct once per (n, H) and draw
+    many paths.
     """
 
     def __init__(self, n, H):
-        if not 0.0 < H < 1.0:
-            raise DomainError(f"Hurst exponent must lie in (0,1), got {H}")
+        _check_H(H)
         if n < 2:
             raise SizeError(f"need grid size n >= 2, got {n}")
         self.n = int(n)
         self.H = float(H)
         self._eigs = _fgn_embedding_eigs(self.n, self.H)
-        self._chol = None if self._eigs is not None else _fgn_cholesky(self.n, self.H)
 
     def sample_fgn(self, rng):
         """One length-n draw of unit-lag fractional Gaussian noise."""
         n = self.n
-        if self._eigs is None:
-            return self._chol @ rng.standard_normal(n)
         m = 2 * n
         ab = rng.standard_normal(2)
         uv = rng.standard_normal((n - 1, 2))
@@ -95,10 +88,7 @@ class FbmSampler:
     def sample_path(self, rng):
         """fBm on the grid j/n: cumulated fGn scaled by n^-H, X_0 = 0."""
         inc = self.sample_fgn(rng) * self.n ** (-self.H)
-        out = np.empty(self.n + 1)
-        out[0] = 0.0
-        np.cumsum(inc, out=out[1:])
-        return SampledPath(out)
+        return _path_from_increments(inc)
 
 
 def sim_fbm(n, H, seed):
@@ -110,10 +100,7 @@ def sim_brownian(n, seed, scale=1.0):
     """Standard Brownian path (variance scale^2 * t)."""
     rng = derive_rng(seed, "brownian")
     inc = rng.standard_normal(n) * (scale / math.sqrt(n))
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return SampledPath(out)
+    return _path_from_increments(inc)
 
 
 # ----------------------------------------------------------------------
@@ -311,22 +298,27 @@ def _euler_paths(n, a_func, b_func, x0, refine, rngs, chunk=4096):
     out = np.empty((reps, n + 1))
     out[:, 0] = x
     k = 0
-    while k < steps:
-        c = min(chunk, steps - k)
-        z = np.empty((reps, c))
-        for i, g in enumerate(rngs):
-            z[i] = g.standard_normal(c)
-        for jj in range(c):
-            x = x + (a_func(x) * (sdt * z[:, jj]) + b_func(x) * dt)
-            k += 1
-            if k % refine == 0:
-                out[:, k // refine] = x
-        if not np.isfinite(x).all():
-            bad = int(np.flatnonzero(~np.isfinite(x))[0])
-            raise SimulationError(
-                f"non-finite state in replication {bad} (drift/diffusion blew up)",
-                step=k // refine,
-            )
+    # blow-ups are detected below, once per chunk, instead of warned per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < steps:
+            k0, c = k, min(chunk, steps - k)
+            z = np.empty((reps, c))
+            for i, g in enumerate(rngs):
+                z[i] = g.standard_normal(c)
+            for jj in range(c):
+                x = x + (a_func(x) * (sdt * z[:, jj]) + b_func(x) * dt)
+                k += 1
+                if k % refine == 0:
+                    out[:, k // refine] = x
+            if not np.isfinite(x).all():
+                # first non-finite grid sample of the chunk, or the next one
+                # when the state blew up after the last sample written
+                j0 = k0 // refine + 1
+                bad = ~np.isfinite(np.column_stack([out[:, j0:k // refine + 1], x]))
+                col = int(np.flatnonzero(bad.any(axis=0))[0])
+                raise SimulationError(
+                    f"non-finite state in replication {int(np.flatnonzero(bad[:, col])[0])} "
+                    "(drift/diffusion blew up)", step=j0 + col)
     return out
 
 
@@ -357,18 +349,11 @@ def sim_diffusion_batch(n, a_func, b_func, x0, refine, seed, reps):
 
 def sim_levy_stable(n, alpha, scale=1.0, seed=0):
     """Symmetric alpha-stable Levy path: iid scale * n^(-1/alpha) * Z_alpha increments."""
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"stable index must lie in (0,2], got {alpha}")
     if scale <= 0:
         raise DomainError(f"scale must be positive, got {scale}")
     rng = derive_rng(seed, "levy_stable")
-    u = rng.uniform(-math.pi / 2, math.pi / 2, n)
-    w = rng.exponential(1.0, n)
-    inc = sym_stable_from_uniform_exp(alpha, u, w) * (scale * n ** (-1.0 / alpha))
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return SampledPath(out)
+    inc = sample_sym_stable(alpha, rng, n) * (scale * n ** (-1.0 / alpha))
+    return _path_from_increments(inc)
 
 
 @dataclass(frozen=True)
@@ -453,10 +438,7 @@ def sim_levy_compound(n, a_weight, jump_spec, seed=0):
 
         inc += _window_jump_sums(rng, n, lam_eps, draw_small)
 
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return SampledPath(out)
+    return _path_from_increments(inc)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from scipy.stats import norm
 
 from .errors import DomainError, RangeError, SizeError
 from .rng import derive_rng
-from .statistics import IRSummary, r_tilde_2n
+from .statistics import IRSummary, psi_terms, r_tilde_2n
 
 ALPHA_GRID_DEFAULT = np.round(np.arange(0.05, 2.0001, 0.05), 10)
 
@@ -51,50 +51,47 @@ def sample_sym_stable(alpha, rng, size=None):
     return float(z[0]) if scalar else z
 
 
-def _psi_array(x, y):
-    den = np.abs(x) + np.abs(y)
-    zero = den == 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.abs(x + y) / np.where(zero, 1.0, den)
-    t[zero] = 1.0
-    return t
+def _stable_draw(alpha, reps, seed, cols):
+    """(reps, cols) stable draw from the table stream of seed."""
+    if reps < 10_000:
+        raise SizeError(f"need at least 1e4 replications, got {reps}")
+    return sample_sym_stable(alpha, derive_rng(seed, "stable_table"), (reps, cols))
+
+
+def _psi_moments(z):
+    """Monte Carlo moments of A = psi(Z1,Z2), B = psi(Z2,Z3) from an
+    (reps, 3) stable draw: (mean of A, its stderr, 2 var(A) + 4 cov(A, B),
+    the stderr of that from 40 batch means).
+    """
+    A, _ = psi_terms(z[:, 0], z[:, 1], "psi")
+    B, _ = psi_terms(z[:, 1], z[:, 2], "psi")
+    reps, batches = A.size, 40
+    sig = 2.0 * A.var(ddof=1) + 4.0 * float(np.cov(A, B)[0, 1])
+    bs = reps // batches
+    per = np.empty(batches)
+    for k in range(batches):
+        Ab, Bb = A[k * bs:(k + 1) * bs], B[k * bs:(k + 1) * bs]
+        per[k] = 2.0 * Ab.var(ddof=1) + 4.0 * float(np.cov(Ab, Bb)[0, 1])
+    return (A.mean(), A.std(ddof=1) / math.sqrt(reps), sig,
+            per.std(ddof=1) / math.sqrt(batches))
 
 
 def lambda_tilde(alpha, reps=100_000, seed=0):
     """Monte Carlo (estimate, stderr) of E psi(Z1, Z2) over stable pairs."""
-    if reps < 10_000:
-        raise SizeError(f"need at least 1e4 replications, got {reps}")
-    rng = derive_rng(seed, "stable_table")
-    u = rng.uniform(-math.pi / 2, math.pi / 2, (reps, 2))
-    w = rng.exponential(1.0, (reps, 2))
-    z = sym_stable_from_uniform_exp(alpha, u, w)
-    t = _psi_array(z[:, 0], z[:, 1])
+    z = _stable_draw(alpha, reps, seed, 2)
+    t, _ = psi_terms(z[:, 0], z[:, 1], "psi")
     return float(t.mean()), float(t.std(ddof=1) / math.sqrt(reps))
 
 
-def sigma_tilde_sq(alpha, reps=100_000, seed=0, batches=40):
+def sigma_tilde_sq(alpha, reps=100_000, seed=0):
     """Monte Carlo (estimate, stderr) of 2 var(A) + 4 cov(A, B) where
     A = psi(Z1,Z2), B = psi(Z2,Z3) over independent stable triples.
 
     The stderr comes from batch means; the estimate may be clipped at 0
     by callers (asymptotic variances are nonnegative).
     """
-    if reps < 10_000:
-        raise SizeError(f"need at least 1e4 replications, got {reps}")
-    rng = derive_rng(seed, "stable_table")
-    u = rng.uniform(-math.pi / 2, math.pi / 2, (reps, 3))
-    w = rng.exponential(1.0, (reps, 3))
-    z = sym_stable_from_uniform_exp(alpha, u, w)
-    A = _psi_array(z[:, 0], z[:, 1])
-    B = _psi_array(z[:, 1], z[:, 2])
-    est = 2.0 * A.var(ddof=1) + 4.0 * float(np.cov(A, B)[0, 1])
-    bs = reps // batches
-    per = np.empty(batches)
-    for k in range(batches):
-        Ab = A[k * bs:(k + 1) * bs]
-        Bb = B[k * bs:(k + 1) * bs]
-        per[k] = 2.0 * Ab.var(ddof=1) + 4.0 * float(np.cov(Ab, Bb)[0, 1])
-    return float(est), float(per.std(ddof=1) / math.sqrt(batches))
+    _, _, sig, sig_se = _psi_moments(_stable_draw(alpha, reps, seed, 3))
+    return float(sig), float(sig_se)
 
 
 def _pava_decreasing(y):
@@ -171,20 +168,10 @@ def build_stable_table(reps=1_000_000, seed=20240602, alpha_grid=None, progress=
     lam_se = np.empty(grid.size)
     sig = np.empty(grid.size)
     sig_se = np.empty(grid.size)
-    batches = 40
-    bs = reps // batches
     for i, aa in enumerate(grid):
         z = sym_stable_from_uniform_exp(float(aa), u, w)
-        A = _psi_array(z[:, 0], z[:, 1])
-        B = _psi_array(z[:, 1], z[:, 2])
-        lam_raw[i] = A.mean()
-        lam_se[i] = A.std(ddof=1) / math.sqrt(reps)
-        sig[i] = max(2.0 * A.var(ddof=1) + 4.0 * float(np.cov(A, B)[0, 1]), 0.0)
-        per = np.empty(batches)
-        for k in range(batches):
-            Ab, Bb = A[k * bs:(k + 1) * bs], B[k * bs:(k + 1) * bs]
-            per[k] = 2.0 * Ab.var(ddof=1) + 4.0 * float(np.cov(Ab, Bb)[0, 1])
-        sig_se[i] = per.std(ddof=1) / math.sqrt(batches)
+        lam_raw[i], lam_se[i], s, sig_se[i] = _psi_moments(z)
+        sig[i] = max(s, 0.0)
         if progress is not None:
             progress(i + 1, grid.size)
     violations = int(np.sum(np.diff(lam_raw) > 0))

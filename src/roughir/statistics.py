@@ -54,26 +54,27 @@ def psi0(x, y):
     return 1.0 if x * y >= 0.0 else 0.0
 
 
-def _psi_pair_terms(d):
-    """psi over consecutive pairs of an increment array; returns (terms, n_0over0)."""
-    x, y = d[:-1], d[1:]
-    den = np.abs(x) + np.abs(y)
-    zero = den == 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.abs(x + y) / np.where(zero, 1.0, den)
-    t[zero] = 1.0
+def psi_terms(x, y, kind):
+    """psi ("psi") or psi0 ("psi0") elementwise over paired arrays.
+
+    Returns (terms, count of pairs where x and y both vanish): the 0/0
+    terms for psi, the both-zero pairs for psi0.
+    """
+    if kind == "psi":
+        den = np.abs(x) + np.abs(y)
+        zero = den == 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t = np.abs(x + y) / np.where(zero, 1.0, den)
+        t[zero] = 1.0
+    else:
+        t = (x * y >= 0.0).astype(float)
+        zero = (x == 0.0) & (y == 0.0)
     return t, int(zero.sum())
 
 
-def _psi0_pair_terms(d):
-    """psi0 over consecutive pairs; both-zero pairs counted like 0/0 terms."""
-    x, y = d[:-1], d[1:]
-    t = (x * y >= 0.0).astype(float)
-    zero = (x == 0.0) & (y == 0.0)
-    return t, int(zero.sum())
-
-
-def _mean_summary(terms, zero_count):
+def _summary(d, kind):
+    """Mean of psi/psi0 over consecutive pairs of the increment array d."""
+    terms, zero_count = psi_terms(d[:-1], d[1:], kind)
     # compensated accumulation: fsum is exact, so results do not depend on
     # summation order even for n ~ 1e6 terms
     total = math.fsum(terms)
@@ -81,41 +82,30 @@ def _mean_summary(terms, zero_count):
                      zero_over_zero=zero_count)
 
 
-def _pair_statistic(d, kind):
-    terms, zero = (_psi_pair_terms(d) if kind == "psi" else _psi0_pair_terms(d))
-    return _mean_summary(terms, zero)
+def _increments(path, a):
+    """Filtered increments of path; needs n >= q+2 for a filter of length q+1."""
+    if path.n < a.q + 2:
+        raise SizeError(f"need n >= {a.q + 2} for filter length {a.q + 1}, got n={path.n}")
+    return filtered_increment_array(path.values, a.coeffs)
 
 
 def r_pn(path, p):
     """Mean of psi over consecutive p-order increments.
 
     (1/(n-p)) sum_{k=0}^{n-p-1} psi(d_k, d_{k+1}) where d_k is the p-order
-    increment at k; needs n >= p+2.
+    increment at k; needs p >= 1 and n >= p+2.
     """
-    if p < 1:
-        raise DomainError(f"increment order must be >= 1, got {p}")
-    if path.n < p + 2:
-        raise SizeError(f"need n >= {p + 2} for p={p}, got n={path.n}")
-    d = filtered_increment_array(path.values, make_binomial_filter(p).coeffs)
-    return _pair_statistic(d, "psi")
+    return _summary(_increments(path, make_binomial_filter(p)), "psi")
 
 
 def r_an(path, a):
     """Generalized-variation analogue of r_pn for a filter a of length q+1."""
-    if path.n < a.q + 2:
-        raise SizeError(f"need n >= {a.q + 2} for filter length {a.q + 1}, got n={path.n}")
-    d = filtered_increment_array(path.values, a.coeffs)
-    return _pair_statistic(d, "psi")
+    return _summary(_increments(path, a), "psi")
 
 
 def r0_pn(path, p):
     """Zero-crossing variant: psi replaced by the sign indicator psi0."""
-    if p < 1:
-        raise DomainError(f"increment order must be >= 1, got {p}")
-    if path.n < p + 2:
-        raise SizeError(f"need n >= {p + 2} for p={p}, got n={path.n}")
-    d = filtered_increment_array(path.values, make_binomial_filter(p).coeffs)
-    return _pair_statistic(d, "psi0")
+    return _summary(_increments(path, make_binomial_filter(p)), "psi0")
 
 
 def r_local(path, t0, w):
@@ -138,7 +128,7 @@ def r_local(path, t0, w):
     if k_hi < k_lo:
         raise SizeError(f"empty window around t0={t0} with exponent {w}")
     d = filtered_increment_array(path.values, make_binomial_filter(2).coeffs)
-    return _pair_statistic(d[k_lo : k_hi + 2], "psi")
+    return _summary(d[k_lo : k_hi + 2], "psi")
 
 
 def _even_second_increments(path):
@@ -157,9 +147,9 @@ def r_tilde_2n(path):
     pairs make the terms independent for independent-increment processes
     and symmetric regardless of skewness.  Odd n drops the final sample.
     """
-    return _pair_statistic(_even_second_increments(path), "psi")
+    return _summary(_even_second_increments(path), "psi")
 
 
 def r0_tilde_2n(path):
     """Zero-crossing variant of r_tilde_2n (psi0 over the disjoint pairs)."""
-    return _pair_statistic(_even_second_increments(path), "psi0")
+    return _summary(_even_second_increments(path), "psi0")

@@ -77,8 +77,7 @@ def save_variance_table(table, filename, extra_meta=None):
                 continue
             rows.append((float(H), p, float(s), float(e),
                          table.reps, table.path_len, table.seed))
-    meta = {"reps": table.reps, "path_len": table.path_len, "seed": table.seed,
-            "lag_truncation": table.lag_truncation}
+    meta = {"reps": table.reps, "path_len": table.path_len, "seed": table.seed}
     meta.update(extra_meta or {})
     _write(filename, "gaussian", meta, cols, rows)
 
@@ -98,8 +97,7 @@ def load_variance_table(filename):
     s1e = np.array([by_p[1].get(h, (math.nan, math.nan))[1] for h in grid])
     return VarianceTable(grid, s1, s1e, s2, s2e,
                          reps=int(meta["reps"]), path_len=int(meta["path_len"]),
-                         seed=int(meta["seed"]),
-                         lag_truncation=int(meta.get("lag_truncation", 50)))
+                         seed=int(meta["seed"]))
 
 
 def save_stable_table(table, filename, extra_meta=None):

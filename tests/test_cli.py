@@ -87,11 +87,24 @@ class TestEstimate:
         f = tmp_path / "p.tsv"
         run("simulate", "--kind", "fbm", "--h", "0.5", "--n", "4096",
             "--seed", "4", "--out", str(f))
-        run("--table-dir", table_dir, "estimate", "--input", str(f))
+        capsys.readouterr()
+        out = tmp_path / "est.txt"
+        run("--table-dir", table_dir, "estimate", "--input", str(f), "--out", str(out))
         text = capsys.readouterr().out
         h_hat = float([l for l in text.splitlines() if l.startswith("h_hat=")][0]
                       .split("=")[1])
         assert abs(h_hat - 0.5) < 0.2
+        assert out.read_text() == text
+
+    def test_out_of_grid_hurst_verdict_failure(self, tmp_path, table_dir, capsys):
+        # h_hat = 0.9765 lies beyond the variance grid: a verdict, not a usage error
+        f = tmp_path / "p.tsv"
+        ri.write_path(ri.sim_fbm(8192, 0.97, seed=0), str(f), kind="fbm")
+        code = run("--table-dir", table_dir, "estimate", "--input", str(f))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "statistic=" in captured.out
+        assert "outside the tabulated grid" in captured.err
 
     def test_alpha_method(self, tmp_path, table_dir, capsys):
         f = tmp_path / "p.tsv"

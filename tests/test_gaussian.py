@@ -113,6 +113,12 @@ class TestIncrementCov:
             for j in range(0, 6):
                 want = p_increment_cov_quadratic_form(p, h, j)
                 assert ri.fbm_increment_cov(p, h, j) == pytest.approx(want, abs=1e-10)
+            # an array of lags gives the scalar values elementwise
+            lags = np.arange(-5, 6)
+            want = [p_increment_cov_quadratic_form(p, h, abs(j)) for j in lags]
+            got = ri.fbm_increment_cov(p, h, lags)
+            assert got.shape == lags.shape
+            assert got == pytest.approx(want, abs=1e-10)
 
     def test_rho_consistency(self):
         # rho_p equals lag-1 covariance over variance

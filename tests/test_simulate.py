@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import roughir as ri
-from roughir.errors import (DomainError, ResolutionError, SimulationError,
-                            SizeError)
+from roughir.errors import (DomainError, FactorizationError, ResolutionError,
+                            SimulationError, SizeError)
 from roughir.simulate import mbm_covariance
 
 from .oracles import fbm_cov, spectral_variogram
@@ -66,21 +67,11 @@ class TestFbm:
         with pytest.raises(DomainError):
             ri.sim_fbm(64, 0.0, seed=1)
 
-    def test_cholesky_fallback_agrees_with_target_covariance(self):
-        # the embedding eigenvalues are nonnegative for fGn, so force the
-        # dense branch and check it reproduces the same law
-        import scipy.linalg
-        from roughir.simulate import _fgn_cholesky, fgn_autocov
-        n, H = 64, 0.7
-        L = _fgn_cholesky(n, H)
-        cov = scipy.linalg.toeplitz(fgn_autocov(H, np.arange(n)))
-        assert np.allclose(L @ np.transpose(L), cov, atol=1e-10)
-        s = ri.FbmSampler(n, H)
-        s._eigs, s._chol = None, L
-        draws = np.array([s.sample_fgn(np.random.default_rng(i)) for i in range(3000)])
-        lag1 = np.mean(draws[:, :-1] * draws[:, 1:]) / np.mean(draws**2)
-        assert abs(draws.var() - 1.0) < 0.06
-        assert lag1 == pytest.approx(2 ** (2 * H - 1) - 1, abs=0.02)
+    def test_negative_embedding_eigenvalues_raise(self):
+        # the circulant embedding first goes indefinite here; there is no
+        # dense fallback (it would need hundreds of GiB at this n)
+        with pytest.raises(FactorizationError):
+            ri.FbmSampler(2**18, 0.995)
 
 
 class TestMbm:
@@ -182,6 +173,15 @@ class TestDiffusion:
         with pytest.raises(SimulationError):
             ri.sim_diffusion(64, lambda x: np.full_like(x, np.nan),
                              lambda x: np.zeros_like(x), 0.0, refine=16, seed=1)
+
+    def test_blow_up_names_first_bad_grid_step_without_warnings(self):
+        # the state overflows at fine step 20, i.e. before grid sample j=2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError) as info:
+                ri.sim_diffusion(64, lambda x: 1 + x * x, lambda x: 50 * x**3, 1.0,
+                                 refine=16, seed=0)
+        assert info.value.step == 2
 
     def test_batch_deterministic(self):
         from roughir.simulate import sim_diffusion_batch
