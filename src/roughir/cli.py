@@ -1,9 +1,9 @@
 """Command-line front end: estimate | simulate | tables | experiment.
 
 Exit codes: 0 success / all verdicts pass, 1 verdict failure, 2 usage or
-parse errors.  Limit tables live in --table-dir (or $ROUGHIR_TABLE_DIR,
-default ./roughir-tables) and are auto-built at reduced size with a
-warning unless --strict requires prebuilt ones.
+parse errors.  Limit tables are <kind>.tsv in --table-dir (or
+$ROUGHIR_TABLE_DIR, default ./roughir-tables); a missing one is replaced by
+a reduced cached table with a warning unless --strict requires it.
 """
 
 import argparse
@@ -15,16 +15,18 @@ import numpy as np
 from . import tableio
 from .errors import InterpolationError, RangeError, RoughIRError
 from .experiments import EXPERIMENT_NAMES, run_experiment
-from .gaussian import build_variance_table, estimate_H, invert_Lambda2
+from .gaussian import estimate_H, invert_Lambda2
 from .pathio import _atomic_write, read_path, write_path
 from .simulate import SIM_KINDS, SimSpec, simulate
-from .stable import build_stable_table, estimate_alpha
-from .statistics import r_local, r_pn
+from .stable import estimate_alpha
+from .statistics import r_local, r_pn, r_tilde_2n
 
 EXIT_OK, EXIT_VERDICT, EXIT_USAGE = 0, 1, 2
 
-AUTO_GAUSSIAN = dict(reps=300, path_len=2048)
-AUTO_STABLE = dict(reps=200_000)
+# build settings of the reduced tables served when <kind>.tsv is missing,
+# and the replication counts below which a `roughir tables` build warns
+AUTO = {"gaussian": dict(reps=300, path_len=2048), "stable": dict(reps=200_000)}
+PRODUCTION_REPS = {"gaussian": 1000, "stable": 100_000}
 
 TREND_PRESETS = {
     "none": None,
@@ -34,28 +36,20 @@ TREND_PRESETS = {
 
 
 def _table_dir(args):
-    d = args.table_dir or os.environ.get("ROUGHIR_TABLE_DIR") or "roughir-tables"
-    return d
+    return args.table_dir or os.environ.get("ROUGHIR_TABLE_DIR") or "roughir-tables"
 
 
 def _load_or_build(kind, args):
     d = _table_dir(args)
     fn = os.path.join(d, f"{kind}.tsv")
     if os.path.exists(fn):
-        return (tableio.load_variance_table(fn) if kind == "gaussian"
-                else tableio.load_stable_table(fn))
+        return tableio.KINDS[kind].load(fn)
     if args.strict:
         raise RoughIRError(f"--strict given but no prebuilt {kind} table at {fn}")
-    print(f"warning: building a reduced {kind} table at {fn} "
+    print(f"warning: no prebuilt {kind} table at {fn}; using a reduced one with seed "
+          f"{args.seed}, building it on first use and caching it in {d} "
           "(run `roughir tables` for full precision)", file=sys.stderr)
-    os.makedirs(d, exist_ok=True)
-    if kind == "gaussian":
-        table = build_variance_table(seed=args.seed, **AUTO_GAUSSIAN)
-        tableio.save_variance_table(table, fn)
-    else:
-        table = build_stable_table(seed=args.seed, **AUTO_STABLE)
-        tableio.save_stable_table(table, fn)
-    return table
+    return tableio.cached_table(kind, d, seed=args.seed, **AUTO[kind])
 
 
 def _print_summary(stat, out):
@@ -67,33 +61,32 @@ def _print_summary(stat, out):
                    "constant or heavily quantized input)")
 
 
+def _verdict_failure(out, message):
+    print("\n".join(out))
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_VERDICT
+
+
 def cmd_estimate(args):
     path, meta = read_path(args.input)
     out = [f"input={args.input}", f"n={path.n}", f"method={args.method}"]
     if args.p != 2:
         out.append(f"r_p{args.p}={r_pn(path, args.p).value:.17g}")
-    if args.method == "hurst":
-        stat = r_pn(path, 2)
+    if args.method != "local":
+        stat = r_pn(path, 2) if args.method == "hurst" else r_tilde_2n(path)
         _print_summary(stat, out)
         if stat.degenerate:
-            print("\n".join(out))
-            print("error: statistic is 0/0-dominated; no roughness information",
-                  file=sys.stderr)
-            return EXIT_VERDICT
-        table = _load_or_build("gaussian", args)
+            return _verdict_failure(out, "statistic is 0/0-dominated; no roughness information")
+    if args.method == "hurst":
         try:
-            est = estimate_H(path, table, conf=args.confidence)
+            est = estimate_H(path, _load_or_build("gaussian", args), conf=args.confidence)
         except (RangeError, InterpolationError) as e:
-            print("\n".join(out))
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_VERDICT
+            return _verdict_failure(out, e)
         out += [f"h_hat={est.h_hat:.6f}", f"stderr={est.stderr:.6f}",
                 f"ci_low={est.ci_low:.6f}", f"ci_high={est.ci_high:.6f}",
                 f"confidence={est.confidence}"]
     elif args.method == "alpha":
-        table = _load_or_build("stable", args)
-        est = estimate_alpha(path, table, conf=args.confidence)
-        _print_summary(est.statistic, out)
+        est = estimate_alpha(path, _load_or_build("stable", args), conf=args.confidence)
         out += [f"alpha_hat={est.alpha_hat:.6f}", f"stderr={est.stderr:.6f}",
                 f"ci_low={est.ci_low:.6f}", f"ci_high={est.ci_high:.6f}",
                 f"confidence={est.confidence}"]
@@ -195,21 +188,18 @@ def cmd_tables(args):
     d = _table_dir(args)
     os.makedirs(d, exist_ok=True)
     fn = args.out or os.path.join(d, f"{args.kind}.tsv")
-    reps = args.reps or (2000 if args.kind == "gaussian" else 1_000_000)
-    low = (args.kind == "gaussian" and reps < 1000) or \
-          (args.kind == "stable" and reps < 100_000)
-    extra = {"quality_warning": "replication count below production floor"} if low else None
+    build = {"seed": args.seed}
+    if args.reps is not None:
+        build["reps"] = args.reps
     if args.kind == "gaussian":
-        table = build_variance_table(reps=reps, path_len=args.path_len,
-                                     seed=args.seed)
-        tableio.save_variance_table(table, fn, extra_meta=extra)
-    else:
-        table = build_stable_table(reps=reps, seed=args.seed)
-        tableio.save_stable_table(table, fn, extra_meta=extra)
-    if low:
-        print(f"warning: {reps} replications is low for a production table",
+        build["path_len"] = args.path_len
+    kind = tableio.KINDS[args.kind]
+    table = kind.build(**build)
+    kind.save(table, fn)
+    if table.reps < PRODUCTION_REPS[args.kind]:
+        print(f"warning: {table.reps} replications is low for a production table",
               file=sys.stderr)
-    print(f"wrote {fn} (kind={args.kind}, reps={reps}, seed={args.seed})")
+    print(f"wrote {fn} (kind={args.kind}, reps={table.reps}, seed={args.seed})")
     return EXIT_OK
 
 
@@ -319,10 +309,7 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except RoughIRError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as e:
+    except (RoughIRError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -51,10 +51,15 @@ def sample_sym_stable(alpha, rng, size=None):
     return float(z[0]) if scalar else z
 
 
-def _stable_draw(alpha, reps, seed, cols):
-    """(reps, cols) stable draw from the table stream of seed."""
+def _check_reps(reps):
+    """The 40-batch stderr of _psi_moments needs at least 1e4 replications."""
     if reps < 10_000:
         raise SizeError(f"need at least 1e4 replications, got {reps}")
+
+
+def _stable_draw(alpha, reps, seed, cols):
+    """(reps, cols) stable draw from the table stream of seed."""
+    _check_reps(reps)
     return sample_sym_stable(alpha, derive_rng(seed, "stable_table"), (reps, cols))
 
 
@@ -160,6 +165,7 @@ def build_stable_table(reps=1_000_000, seed=20240602, alpha_grid=None, progress=
     random numbers), which makes the raw curve essentially monotone
     before the isotonic projection.
     """
+    _check_reps(reps)
     grid = ALPHA_GRID_DEFAULT if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
     rng = derive_rng(seed, "stable_table")
     u = rng.uniform(-math.pi / 2, math.pi / 2, (reps, 3))

@@ -2,35 +2,18 @@ import os
 
 import pytest
 
-import roughir as ri
+from roughir.tableio import cached_table
 
-# Full-precision limit tables are expensive (minutes); build once and cache
-# on disk keyed by their build parameters.  Deterministic seeds make the
-# cached files byte-identical to fresh builds.
+# Full-precision limit tables take minutes to build; cached_table keeps them
+# here, keyed by build parameters and a digest of the package sources.
 CACHE_DIR = os.path.join(os.path.dirname(__file__), "..", ".cache-tables")
-
-GAUSSIAN_BUILD = dict(reps=2000, path_len=4096, seed=20240601)
-STABLE_BUILD = dict(reps=2_000_000, seed=20240602)
-
-
-def _cached(name, build, save, load, **params):
-    os.makedirs(CACHE_DIR, exist_ok=True)
-    tag = "-".join(f"{k}{v}" for k, v in sorted(params.items()))
-    fn = os.path.join(CACHE_DIR, f"{name}-{tag}.tsv")
-    if os.path.exists(fn):
-        return load(fn)
-    table = build(**params)
-    save(table, fn)
-    return table
 
 
 @pytest.fixture(scope="session")
 def variance_table():
-    return _cached("gaussian", ri.build_variance_table, ri.save_variance_table,
-                   ri.load_variance_table, **GAUSSIAN_BUILD)
+    return cached_table("gaussian", CACHE_DIR, reps=2000, path_len=4096, seed=20240601)
 
 
 @pytest.fixture(scope="session")
 def stable_table():
-    return _cached("stable", ri.build_stable_table, ri.save_stable_table,
-                   ri.load_stable_table, **STABLE_BUILD)
+    return cached_table("stable", CACHE_DIR, reps=2_000_000, seed=20240602)

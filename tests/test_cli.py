@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import roughir as ri
+from roughir import cli
 from roughir.cli import main
-
-from .conftest import CACHE_DIR, GAUSSIAN_BUILD, STABLE_BUILD
 
 
 @pytest.fixture()
@@ -132,13 +131,16 @@ class TestEstimate:
                    "--p", "1") == 0
         assert "r_p1=" in capsys.readouterr().out
 
-    def test_constant_file_verdict_failure(self, tmp_path, table_dir, capsys):
+    @pytest.mark.parametrize("method", ["hurst", "alpha"])
+    def test_constant_file_verdict_failure(self, tmp_path, table_dir, capsys, method):
         f = tmp_path / "c.tsv"
         ri.write_path(ri.SampledPath(np.full(64, 3.0)), str(f), kind="data")
-        code = run("--table-dir", table_dir, "estimate", "--input", str(f))
+        code = run("--table-dir", table_dir, "estimate", "--input", str(f),
+                   "--method", method)
         assert code == 1
-        err = capsys.readouterr().err
-        assert "0/0" in err
+        captured = capsys.readouterr()
+        assert "0/0" in captured.err
+        assert "diagnostic=degenerate" in captured.out
 
     def test_nan_file_parse_error(self, tmp_path, table_dir, capsys):
         f = tmp_path / "bad.tsv"
@@ -156,6 +158,23 @@ class TestEstimate:
         assert code == 2
         assert "strict" in capsys.readouterr().err
 
+    def test_missing_table_served_from_cache_with_warning(self, tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.setitem(cli.AUTO, "stable", dict(reps=20_000))
+        f = tmp_path / "p.tsv"
+        ri.write_path(ri.sim_levy_stable(1024, 1.2, seed=3), str(f), kind="levy_stable")
+        d = tmp_path / "tables"
+        outputs = []
+        for _ in range(2):
+            assert run("--table-dir", str(d), "estimate", "--input", str(f),
+                       "--method", "alpha") == 0
+            captured = capsys.readouterr()
+            assert "warning" in captured.err and "reduced" in captured.err
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        assert not (d / "stable.tsv").exists()
+        assert len(list(d.iterdir())) == 1
+
 
 class TestTables:
     def test_rebuild_identical(self, tmp_path):
@@ -164,6 +183,12 @@ class TestTables:
             assert run("tables", "--kind", "stable", "--reps", "20000",
                        "--seed", "9", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_zero_reps_rejected(self, tmp_path, capsys):
+        assert run("tables", "--kind", "stable", "--reps", "0",
+                   "--out", str(tmp_path / "s.tsv")) == 2
+        assert "replications" in capsys.readouterr().err
+        assert not (tmp_path / "s.tsv").exists()
 
     def test_gaussian_columns_positive(self, tmp_path):
         out = tmp_path / "g.tsv"

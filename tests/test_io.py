@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 import roughir as ri
+from roughir import tableio
+from roughir.cli import main
 from roughir.errors import ParseError
+
+STABLE_FILE = ("# schema=roughir-table-v1\n# kind=stable\n# reps=20000\n# seed=4\n"
+               "# monotone_violations=0\n"
+               "alpha\tlambda\tlambda_stderr\tsigma_sq\tsigma_sq_stderr\tdlambda_dalpha\n"
+               "1\t0.8\t0.001\t0.1\t0.01\t-0.2\n2\t0.7\t0.001\t0.1\t0.01\t-0.2\n")
+GAUSSIAN_FILE = ("# schema=roughir-table-v1\n# kind=gaussian\n# reps=100\n# path_len=256\n"
+                 "# seed=3\nH\tp\tsigma\tmc_stderr\n"
+                 "0.4\t1\t0.1\t0.01\n0.4\t2\t0.2\t0.01\n0.6\t2\t0.3\t0.01\n")
 
 
 class TestPathFiles:
@@ -84,6 +94,43 @@ class TestTableFiles:
         with pytest.raises(ParseError, match="schema"):
             ri.load_variance_table(str(fn))
 
+    @pytest.mark.parametrize("kind, old, new, line", [
+        ("stable", "\t0.8\t", "\tabc\t", 7),             # non-numeric cell
+        ("gaussian", "0.6\t2", "0.6\t3", 9),              # unknown p
+        ("gaussian", "0.4\t2", "0.4\t2.5", 8),            # non-integer p
+        ("gaussian", "0.4\t2\t0.2\t0.01\n0.6\t2\t0.3\t0.01\n", "", None),  # no p=2 rows
+        ("stable", "\tdlambda_dalpha", "\tslope", None),  # missing column
+        ("stable", "# reps=20000\n", "", None),            # missing metadata
+        ("stable", "# seed=4\n", "# seed=four\n", None),
+        ("gaussian", "# seed=3\n", "", None),
+        ("gaussian", "# path_len=256\n", "", None),
+    ])
+    def test_malformed_table_parse_error(self, tmp_path, capsys, kind, old, new, line):
+        good = STABLE_FILE if kind == "stable" else GAUSSIAN_FILE
+        assert old in good
+        fn = tmp_path / f"{kind}.tsv"
+        fn.write_text(good.replace(old, new, 1))
+        with pytest.raises(ParseError) as exc:
+            tableio.KINDS[kind].load(str(fn))
+        assert exc.value.line == line
+        path = tmp_path / "p.tsv"
+        ri.write_path(ri.sim_levy_stable(256, 1.5, seed=1), str(path), kind="levy_stable")
+        method = "alpha" if kind == "stable" else "hurst"
+        assert main(["--table-dir", str(tmp_path), "estimate", "--input", str(path),
+                     "--method", method]) == 2
+        assert str(exc.value) in capsys.readouterr().err
+
+    def test_files_with_per_row_metadata_columns_load(self, tmp_path):
+        # older writers repeated reps/path_len/seed in every row and could
+        # add a quality_warning line
+        fn = tmp_path / "s.tsv"
+        fn.write_text(STABLE_FILE.replace("dlambda_dalpha\n", "dlambda_dalpha\treps\tseed\n")
+                      .replace("-0.2\n", "-0.2\t20000\t4\n")
+                      .replace("# seed=4\n", "# seed=4\n# quality_warning=low\n"))
+        t = ri.load_stable_table(str(fn))
+        assert np.array_equal(t.lam, [0.8, 0.7])
+        assert (t.reps, t.seed) == (20000, 4)
+
     def test_kind_checked(self, tmp_path):
         grid = np.round(np.arange(0.5, 2.01, 0.5), 10)
         t = ri.build_stable_table(reps=20_000, seed=4, alpha_grid=grid)
@@ -91,3 +138,39 @@ class TestTableFiles:
         ri.save_stable_table(t, str(fn))
         with pytest.raises(ParseError, match="kind"):
             ri.load_variance_table(str(fn))
+
+
+def _no_build(**build):
+    raise AssertionError(f"unexpected table build {build}")
+
+
+class TestTableCache:
+    BUILD = dict(reps=20_000, seed=4)
+
+    def test_builds_once_then_loads(self, tmp_path, monkeypatch):
+        t = tableio.cached_table("stable", str(tmp_path), **self.BUILD)
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == 1
+        monkeypatch.setitem(tableio.KINDS, "stable",
+                            tableio.KINDS["stable"]._replace(build=_no_build))
+        u = tableio.cached_table("stable", str(tmp_path), **self.BUILD)
+        assert np.array_equal(t.lam, u.lam)
+        assert np.array_equal(t.sigma_sq, u.sigma_sq)
+        assert sorted(tmp_path.iterdir()) == files
+
+    def test_each_seed_gets_its_own_file(self, tmp_path):
+        a = tableio.cached_table("stable", str(tmp_path), reps=20_000, seed=4)
+        b = tableio.cached_table("stable", str(tmp_path), reps=20_000, seed=5)
+        assert len(list(tmp_path.iterdir())) == 2
+        assert not np.array_equal(a.lam_stderr, b.lam_stderr)
+
+    def test_other_source_digest_never_served(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tableio, "_source_digest", lambda: "0" * 12)
+        old = tableio.cached_table("stable", str(tmp_path), **self.BUILD)
+        monkeypatch.setattr(tableio, "_source_digest", lambda: "1" * 12)
+        built = []
+        monkeypatch.setitem(tableio.KINDS, "stable", tableio.KINDS["stable"]._replace(
+            build=lambda **build: built.append(build) or old))
+        tableio.cached_table("stable", str(tmp_path), **self.BUILD)
+        assert built == [self.BUILD]
+        assert len(list(tmp_path.iterdir())) == 2

@@ -67,6 +67,9 @@ class TestLambdaTilde:
     def test_min_reps(self):
         with pytest.raises(SizeError):
             ri.lambda_tilde(1.0, reps=100, seed=1)
+        for reps in (0, 39):  # the table build shares the floor
+            with pytest.raises(SizeError):
+                ri.build_stable_table(reps=reps, seed=1)
 
 
 class TestSigmaTildeSq:
