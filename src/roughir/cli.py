@@ -7,6 +7,7 @@ a reduced cached table with a warning unless --strict requires it.
 """
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -14,10 +15,10 @@ import numpy as np
 
 from . import tableio
 from .errors import InterpolationError, RangeError, RoughIRError
-from .experiments import EXPERIMENT_NAMES, run_experiment
+from .experiments import EXPERIMENT_NAMES, EXPERIMENTS, run_experiment
 from .gaussian import estimate_H, invert_Lambda2
 from .pathio import _atomic_write, read_path, write_path
-from .simulate import SIM_KINDS, SimSpec, simulate
+from .simulate import DIFFUSION_PRESETS, SIM_KINDS, SimSpec, simulate
 from .stable import estimate_alpha
 from .statistics import r_local, r_pn, r_tilde_2n
 
@@ -33,6 +34,12 @@ TREND_PRESETS = {
     "smooth": (lambda t: 2.0 + np.sin(2.0 * np.pi * t), lambda t: t * t),
     "linear": (lambda t: 1.0, lambda t: t),
 }
+
+
+def _accepted(fn, **given):
+    """The given options that are not None and that fn's signature names."""
+    names = inspect.signature(fn).parameters
+    return {k: v for k, v in given.items() if v is not None and k in names}
 
 
 def _table_dir(args):
@@ -118,67 +125,68 @@ def _read_config(filename):
     return opts
 
 
+def _bands(value):
+    """(sigmas, hursts) of 'sigma:H' bands: a list, or one ';'-joined string."""
+    bands = [b.split(":") for b in (value.split(";") if isinstance(value, str) else value)
+             if b.strip()]
+    if not bands or any(len(b) != 2 for b in bands):
+        raise ValueError("expected one or more sigma:H bands")
+    return [float(s) for s, _ in bands], [float(h) for _, h in bands]
+
+
+_REQUIRED = object()
+
+
 def _build_spec(args):
     cfg = _read_config(args.config) if args.config else {}
-    kind = args.kind or cfg.get("kind")
-    if kind is None:
-        raise RoughIRError("simulate needs --kind or a config file with kind=")
-    kind = kind.replace("-", "_")
-    n = args.n or int(cfg.get("n", 0))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+
+    def read(name, convert=float, default=_REQUIRED, key=None, choices=None):
+        """--name, else the config line <key>= (key defaults to name), then
+        checked and converted; a missing or malformed value raises
+        RoughIRError naming the flag."""
+        flag, key = "--" + name.replace("_", "-"), key or name
+        value = cfg.get(key, default) if getattr(args, name) is None else getattr(args, name)
+        if value is _REQUIRED:
+            raise RoughIRError(f"simulate needs {flag} or a config line {key}=")
+        try:
+            if choices is not None and value not in choices:
+                raise ValueError(f"expected one of {', '.join(choices)}")
+            return None if value is None else convert(value)
+        except ValueError as e:
+            raise RoughIRError(f"bad {flag} value {value!r}: {e}") from None
+
+    kind = read("kind", lambda v: v.replace("-", "_"))
+    n, seed = read("n", int), read("seed", int, 0)
     params = {}
     if kind == "fbm":
-        params["H"] = args.h if args.h is not None else float(cfg["h"])
+        params["H"] = read("h")
     elif kind == "mbm":
-        h0 = args.h_start if args.h_start is not None else cfg.get("h_start")
-        h1 = args.h_end if args.h_end is not None else cfg.get("h_end")
-        if h0 is not None and h1 is not None:
-            params["H"] = [[0.0, float(h0)], [1.0, float(h1)]]
-        else:
-            params["H"] = args.h if args.h is not None else float(cfg["h"])
+        h0, h1 = read("h_start", default=None), read("h_end", default=None)
+        params["H"] = read("h") if h0 is None or h1 is None else [[0.0, h0], [1.0, h1]]
     elif kind == "multiscale_fbm":
-        bands = args.band or [s.strip() for s in cfg.get("bands", "").split(";") if s.strip()]
-        if not bands:
-            raise RoughIRError("multiscale needs --band sigma:H (repeatable)")
-        sigmas, hursts = [], []
-        for b in bands:
-            s, _, h = b.partition(":")
-            sigmas.append(float(s))
-            hursts.append(float(h))
-        breaks_text = args.breaks if args.breaks is not None else cfg.get("breaks", "")
-        breaks = [float(x) for x in breaks_text.split(",") if x.strip()]
+        sigmas, hursts = read("band", _bands, key="bands")
+        breaks = read("breaks", lambda t: [float(x) for x in t.split(",") if x.strip()], "")
         params.update(breaks=breaks, sigmas=sigmas, hursts=hursts)
     elif kind == "diffusion":
-        params["preset"] = args.diffusion or cfg.get("preset", "brownian")
-        if args.refine:
-            params["refine"] = args.refine
-        if args.x0 is not None:
-            params["x0"] = args.x0
+        params["preset"] = read("diffusion", str, "brownian", "preset", DIFFUSION_PRESETS)
+        params.update(refine=args.refine, x0=args.x0)  # flags only
     elif kind == "levy_stable":
-        params["alpha"] = args.alpha if args.alpha is not None else float(cfg["alpha"])
-        params["scale"] = args.scale if args.scale is not None else float(cfg.get("scale", 1.0))
+        params.update(alpha=read("alpha"), scale=read("scale", default=1.0))
     elif kind == "levy_compound":
-        params["a_weight"] = args.a_weight if args.a_weight is not None \
-            else float(cfg.get("a_weight", 0.0))
-        for key, flag in (("rate", args.rate), ("jump_scale", args.jump_scale),
-                          ("stable_alpha", args.stable_alpha),
-                          ("stable_c", args.stable_c),
-                          ("stable_cutoff", args.stable_cutoff)):
-            v = flag if flag is not None else cfg.get(key)
-            if v is not None:
-                params[key] = float(v)
+        params["a_weight"] = read("a_weight", default=0.0)
+        params.update({k: read(k, default=None) for k in
+                       ("rate", "jump_scale", "stable_alpha", "stable_c", "stable_cutoff")})
     elif kind == "brownian":
-        if args.scale is not None:
-            params["scale"] = args.scale
-    trend = TREND_PRESETS[args.trend or cfg.get("trend", "none")]
+        params["scale"] = read("scale", default=None)
+    params = {k: v for k, v in params.items() if v is not None}
+    trend = TREND_PRESETS[read("trend", str, "none", choices=TREND_PRESETS)]
     return SimSpec(kind=kind, n=n, seed=seed, params=params, trend=trend)
 
 
 def cmd_simulate(args):
     spec = _build_spec(args)
     path = simulate(spec)
-    file_params = {k: v for k, v in spec.params.items()
-                   if np.isscalar(v) or isinstance(v, str)}
+    file_params = {k: v for k, v in spec.params.items() if np.isscalar(v)}
     write_path(path, args.out, kind=spec.kind, seed=spec.seed, params=file_params)
     print(f"wrote {args.out} (kind={spec.kind}, n={spec.n}, seed={spec.seed})")
     return EXIT_OK
@@ -188,13 +196,9 @@ def cmd_tables(args):
     d = _table_dir(args)
     os.makedirs(d, exist_ok=True)
     fn = args.out or os.path.join(d, f"{args.kind}.tsv")
-    build = {"seed": args.seed}
-    if args.reps is not None:
-        build["reps"] = args.reps
-    if args.kind == "gaussian":
-        build["path_len"] = args.path_len
     kind = tableio.KINDS[args.kind]
-    table = kind.build(**build)
+    table = kind.build(**_accepted(kind.build, seed=args.seed, reps=args.reps,
+                                   path_len=args.path_len))
     kind.save(table, fn)
     if table.reps < PRODUCTION_REPS[args.kind]:
         print(f"warning: {table.reps} replications is low for a production table",
@@ -204,27 +208,12 @@ def cmd_tables(args):
 
 
 def cmd_experiment(args):
-    options = {}
-    kwargs = {}
-    if args.name != "smooth-limit":
-        options["seed"] = args.seed
-    if args.name in ("clt-fbm", "levy-clt", "trend-robustness", "local-mbm") and args.n:
-        options["n"] = args.n
-    if args.reps:
-        key = "pairs" if args.name == "trend-robustness" else "reps"
-        if args.name != "smooth-limit":
-            options[key] = args.reps
-    if args.name == "clt-fbm":
-        kwargs["variance_table"] = _load_or_build("gaussian", args)
-        if args.h:
-            options["h_values"] = args.h
-        if args.confidence != 0.95:
-            options["conf"] = args.confidence
-    elif args.name == "levy-clt":
-        kwargs["stable_table"] = _load_or_build("stable", args)
-        if args.alpha_list:
-            options["alphas"] = args.alpha_list
-    report = run_experiment(args.name, **kwargs, **options)
+    fn = EXPERIMENTS[args.name]
+    tables = {key: _load_or_build(kind, args) for key, kind in
+              _accepted(fn, variance_table="gaussian", stable_table="stable").items()}
+    options = _accepted(fn, seed=args.seed, n=args.n, reps=args.reps, pairs=args.reps,
+                        h_values=args.h, alphas=args.alpha_list, conf=args.confidence)
+    report = run_experiment(args.name, **tables, **options)
     print("\n".join(report.summary_lines()))
     if args.out:
         report.write(args.out)
@@ -259,22 +248,15 @@ def build_parser():
     sim.add_argument("--config", default=None, help="flat key=value config file")
     sim.add_argument("--n", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--h", type=float, default=None)
-    sim.add_argument("--h-start", type=float, default=None)
-    sim.add_argument("--h-end", type=float, default=None)
+    for flag in ("--h", "--h-start", "--h-end"):
+        sim.add_argument(flag, type=float)
     sim.add_argument("--band", action="append", default=None, metavar="SIGMA:H")
     sim.add_argument("--breaks", default=None, help="comma-separated band breakpoints")
-    sim.add_argument("--diffusion", choices=("brownian", "mean-reverting"), default=None)
+    sim.add_argument("--diffusion", choices=DIFFUSION_PRESETS, default=None)
     sim.add_argument("--refine", type=int, default=None)
-    sim.add_argument("--x0", type=float, default=None)
-    sim.add_argument("--alpha", type=float, default=None)
-    sim.add_argument("--scale", type=float, default=None)
-    sim.add_argument("--a-weight", type=float, default=None)
-    sim.add_argument("--rate", type=float, default=None)
-    sim.add_argument("--jump-scale", type=float, default=None)
-    sim.add_argument("--stable-alpha", type=float, default=None)
-    sim.add_argument("--stable-c", type=float, default=None)
-    sim.add_argument("--stable-cutoff", type=float, default=None)
+    for flag in ("--x0", "--alpha", "--scale", "--a-weight", "--rate", "--jump-scale",
+                 "--stable-alpha", "--stable-c", "--stable-cutoff"):
+        sim.add_argument(flag, type=float)
     sim.add_argument("--trend", choices=sorted(TREND_PRESETS), default=None)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
@@ -282,7 +264,7 @@ def build_parser():
     tab = sub.add_parser("tables", help="build and persist a limit table")
     tab.add_argument("--kind", choices=("gaussian", "stable"), required=True)
     tab.add_argument("--reps", type=int, default=None)
-    tab.add_argument("--path-len", type=int, default=4096)
+    tab.add_argument("--path-len", type=int, default=None)
     tab.add_argument("--seed", type=int, default=20240601)
     tab.add_argument("--out", default=None)
     tab.set_defaults(func=cmd_tables)

@@ -5,6 +5,7 @@ result against declared tolerances.  Reports are machine-readable and
 reproducible: rerunning the echoed config reproduces every number.
 """
 
+import inspect
 import json
 import math
 import time
@@ -12,17 +13,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SizeError
 from .gaussian import Lambda_p, estimate_H, invert_Lambda2, lam
 from .increments import SampledPath
 from .pathio import _atomic_write
 from .rng import derive_rng
-from .simulate import FbmSampler, MbmSampler, apply_trend, sim_diffusion_batch
+from .simulate import (DIFFUSION_PRESETS, FbmSampler, MbmSampler,
+                       _path_from_increments, apply_trend, sim_diffusion_batch)
 from .stable import sym_stable_from_uniform_exp, estimate_alpha
 from .statistics import r0_tilde_2n, r_local, r_pn, r_tilde_2n
-
-EXPERIMENT_NAMES = ("clt-fbm", "diffusion-rate", "trend-robustness",
-                    "levy-clt", "smooth-limit", "local-mbm")
 
 
 @dataclass
@@ -42,6 +41,28 @@ class ExperimentReport:
     aggregates: dict = field(default_factory=dict)
     replications: dict = field(default_factory=dict)  # column name -> list
     elapsed_s: float = 0.0
+    started: float = field(default_factory=time.perf_counter, repr=False)
+
+    @classmethod
+    def start(cls, name, arguments, **notes):
+        """Report whose config echoes an experiment's bound arguments (tuples
+        as lists, a table as its build settings) plus fixed notes; grid sizes
+        and replication counts below 1 raise SizeError."""
+        config = {}
+        for key, value in arguments.items():
+            if key.endswith("_table"):
+                config.update({f"table_{k}": getattr(value, k)
+                               for k in ("seed", "reps", "path_len") if hasattr(value, k)})
+            elif key in ("n", "reps", "pairs") and value < 1:
+                raise SizeError(f"{name} needs {key} >= 1, got {value}")
+            else:
+                config[key] = list(value) if isinstance(value, tuple) else value
+        return cls(name, {**config, **notes})
+
+    def finish(self):
+        """Set elapsed_s from the start of the run; returns the report."""
+        self.elapsed_s = time.perf_counter() - self.started
+        return self
 
     @property
     def passed(self):
@@ -96,13 +117,7 @@ def _se(x):
 def exp_clt_fbm(variance_table, h_values=(0.3, 0.5, 0.7), p=2, n=4096,
                 reps=500, seed=1001, conf=0.95, var_rtol=0.20,
                 coverage_band=(0.92, 0.98)):
-    t0 = time.perf_counter()
-    rep = ExperimentReport("clt-fbm", {
-        "h_values": list(h_values), "p": p, "n": n, "reps": reps, "seed": seed,
-        "conf": conf, "var_rtol": var_rtol, "coverage_band": list(coverage_band),
-        "table_seed": variance_table.seed, "table_reps": variance_table.reps,
-        "table_path_len": variance_table.path_len,
-    })
+    rep = ExperimentReport.start("clt-fbm", locals())
     for hi, H in enumerate(h_values):
         sampler = FbmSampler(n, H)
         vals = np.empty(reps)
@@ -132,8 +147,7 @@ def exp_clt_fbm(variance_table, h_values=(0.3, 0.5, 0.7), p=2, n=4096,
                       coverage_band[0] <= cov <= coverage_band[1])
         rep.aggregates[f"H={H}"] = {"mean": vals.mean(), "se_mean": se,
                                     "n_var": nvar, "table_entry": entry}
-    rep.elapsed_s = time.perf_counter() - t0
-    return rep
+    return rep.finish()
 
 
 # ----------------------------------------------------------------------
@@ -149,18 +163,13 @@ def exp_diffusion_rate(ns=(1024, 4096, 16384), reps=200, seed=1002, refine=64,
     statistic measurable at 200 replications; weaker drifts leave it
     under the Monte Carlo noise floor.
     """
-    t0 = time.perf_counter()
-    rep = ExperimentReport("diffusion-rate", {
-        "ns": list(ns), "reps": reps, "seed": seed, "refine": refine,
-        "slope_max": slope_max,
-        "sde": "a(x)=1+x^2, b(x)=-64(x-1), x0=1",
-    })
-    a_func = lambda x: 1.0 + x * x
-    b_func = lambda x: -64.0 * (x - 1.0)
+    rep = ExperimentReport.start("diffusion-rate", locals(),
+                                 sde="a(x)=1+x^2, b(x)=-64(x-1), x0=1")
+    a_func, b_func, x0 = DIFFUSION_PRESETS["mean-reverting"]
     l1, l2 = Lambda_p(1, 0.5), Lambda_p(2, 0.5)
     bias1 = []
     for ni, n in enumerate(ns):
-        paths = sim_diffusion_batch(n, a_func, b_func, 1.0, refine,
+        paths = sim_diffusion_batch(n, a_func, b_func, x0, refine,
                                     seed * 1000 + ni, reps)
         r1 = np.array([r_pn(SampledPath(p), 1).value for p in paths])
         r2 = np.array([r_pn(SampledPath(p), 2).value for p in paths])
@@ -180,8 +189,7 @@ def exp_diffusion_rate(ns=(1024, 4096, 16384), reps=200, seed=1002, refine=64,
               f"slope <= {slope_max}", slope <= slope_max)
     rep.aggregates["bias1"] = bias1
     rep.aggregates["slope"] = slope
-    rep.elapsed_s = time.perf_counter() - t0
-    return rep
+    return rep.finish()
 
 
 # ----------------------------------------------------------------------
@@ -189,11 +197,8 @@ def exp_diffusion_rate(ns=(1024, 4096, 16384), reps=200, seed=1002, refine=64,
 # ----------------------------------------------------------------------
 
 def exp_trend_robustness(h=0.6, n=8192, pairs=200, seed=1003, tol=0.02):
-    t0 = time.perf_counter()
-    rep = ExperimentReport("trend-robustness", {
-        "h": h, "n": n, "pairs": pairs, "seed": seed, "tol": tol,
-        "trend": "alpha(t)=2+sin(2*pi*t), beta(t)=t^2",
-    })
+    rep = ExperimentReport.start("trend-robustness", locals(),
+                                 trend="alpha(t)=2+sin(2*pi*t), beta(t)=t^2")
     alpha_f = lambda t: 2.0 + math.sin(2.0 * math.pi * t)
     beta_f = lambda t: t * t
     sampler = FbmSampler(n, h)
@@ -210,8 +215,7 @@ def exp_trend_robustness(h=0.6, n=8192, pairs=200, seed=1003, tol=0.02):
               f"<= {tol}", diffs.mean() <= tol)
     rep.aggregates["mean_shift"] = diffs.mean()
     rep.aggregates["max_shift"] = float(diffs.max())
-    rep.elapsed_s = time.perf_counter() - t0
-    return rep
+    return rep.finish()
 
 
 # ----------------------------------------------------------------------
@@ -220,12 +224,7 @@ def exp_trend_robustness(h=0.6, n=8192, pairs=200, seed=1003, tol=0.02):
 
 def exp_levy_clt(stable_table, alphas=(0.8, 1.2, 1.8), n=8192, reps=500,
                  seed=1004, var_rtol=0.25, psi0_alphas=(0.8, 1.8)):
-    t0 = time.perf_counter()
-    rep = ExperimentReport("levy-clt", {
-        "alphas": list(alphas), "n": n, "reps": reps, "seed": seed,
-        "var_rtol": var_rtol, "psi0_alphas": list(psi0_alphas),
-        "table_seed": stable_table.seed, "table_reps": stable_table.reps,
-    })
+    rep = ExperimentReport.start("levy-clt", locals())
     # anchor: the limit curve at alpha=2 equals the closed-form Gaussian value
     anchor = lam(0.0)
     i2 = int(np.argmin(np.abs(stable_table.alpha_grid - 2.0)))
@@ -244,8 +243,7 @@ def exp_levy_clt(stable_table, alphas=(0.8, 1.2, 1.8), n=8192, reps=500,
             u = rng.uniform(-math.pi / 2, math.pi / 2, n)
             w = rng.exponential(1.0, n)
             inc = sym_stable_from_uniform_exp(alpha, u, w) * n ** (-1.0 / alpha)
-            vals = np.concatenate([[0.0], np.cumsum(inc)])
-            path = SampledPath(vals)
+            path = _path_from_increments(inc)
             est = estimate_alpha(path, stable_table)
             rt[i] = est.statistic.value
             a_hats[i] = est.alpha_hat
@@ -281,8 +279,7 @@ def exp_levy_clt(stable_table, alphas=(0.8, 1.2, 1.8), n=8192, reps=500,
             "table_se": table_se, "n_var": nvar, "sigma_sq_entry": entry,
             "psi0_mean": r0.mean(),
         }
-    rep.elapsed_s = time.perf_counter() - t0
-    return rep
+    return rep.finish()
 
 
 # ----------------------------------------------------------------------
@@ -291,11 +288,7 @@ def exp_levy_clt(stable_table, alphas=(0.8, 1.2, 1.8), n=8192, reps=500,
 
 def exp_smooth_limit(n_values=(1000, 10_000, 100_000), threshold=0.99,
                      mono_slack=1e-3):
-    t0 = time.perf_counter()
-    rep = ExperimentReport("smooth-limit", {
-        "n_values": list(n_values), "threshold": threshold,
-        "mono_slack": mono_slack, "f": "sin(4*pi*t)",
-    })
+    rep = ExperimentReport.start("smooth-limit", locals(), f="sin(4*pi*t)")
     vals = []
     for n in n_values:
         t = np.arange(n + 1) / n
@@ -310,8 +303,7 @@ def exp_smooth_limit(n_values=(1000, 10_000, 100_000), threshold=0.99,
     t = np.arange(10_001) / 10_000
     mono = r_pn(SampledPath(t**1.5), 1).value
     rep.check("monotone path", mono, 1.0, "exactly 1", mono == 1.0)
-    rep.elapsed_s = time.perf_counter() - t0
-    return rep
+    return rep.finish()
 
 
 # ----------------------------------------------------------------------
@@ -320,13 +312,8 @@ def exp_smooth_limit(n_values=(1000, 10_000, 100_000), threshold=0.99,
 
 def exp_local_mbm(n=8192, reps=200, seed=1006, h_span=(0.3, 0.7),
                   t0s=(0.2, 0.8), w=0.8, mean_tol=0.05, order_frac=0.95):
-    t0 = time.perf_counter()
-    rep = ExperimentReport("local-mbm", {
-        "n": n, "reps": reps, "seed": seed, "h_span": list(h_span),
-        "t0s": list(t0s), "w": w, "mean_tol": mean_tol,
-        "order_frac": order_frac,
-        "linear_fit": "Hbar ~ (R - 0.5174) / 0.1468",
-    })
+    rep = ExperimentReport.start("local-mbm", locals(),
+                                 linear_fit="Hbar ~ (R - 0.5174) / 0.1468")
     h0, h1 = h_span
     sampler = MbmSampler(n, lambda t: h0 + (h1 - h0) * t)
     hbar_target = 0.5 * (h0 + h1)
@@ -351,26 +338,30 @@ def exp_local_mbm(n=8192, reps=200, seed=1006, h_span=(0.3, 0.7),
               f">= {order_frac}", frac >= order_frac)
     rep.aggregates["hbar"] = hbar
     rep.aggregates["order_fraction"] = frac
-    rep.elapsed_s = time.perf_counter() - t0
-    return rep
+    return rep.finish()
+
+
+EXPERIMENTS = {
+    "clt-fbm": exp_clt_fbm,
+    "diffusion-rate": exp_diffusion_rate,
+    "trend-robustness": exp_trend_robustness,
+    "levy-clt": exp_levy_clt,
+    "smooth-limit": exp_smooth_limit,
+    "local-mbm": exp_local_mbm,
+}
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run_experiment(name, variance_table=None, stable_table=None, **options):
-    """Dispatch one named experiment; tables are required where used."""
-    if name == "clt-fbm":
-        if variance_table is None:
-            raise DomainError("clt-fbm needs a variance table")
-        return exp_clt_fbm(variance_table, **options)
-    if name == "diffusion-rate":
-        return exp_diffusion_rate(**options)
-    if name == "trend-robustness":
-        return exp_trend_robustness(**options)
-    if name == "levy-clt":
-        if stable_table is None:
-            raise DomainError("levy-clt needs a stable table")
-        return exp_levy_clt(stable_table, **options)
-    if name == "smooth-limit":
-        return exp_smooth_limit(**options)
-    if name == "local-mbm":
-        return exp_local_mbm(**options)
-    raise DomainError(f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}")
+    """Run one named experiment with the tables its signature names;
+    a table it names is required."""
+    if name not in EXPERIMENTS:
+        raise DomainError(f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}")
+    fn = EXPERIMENTS[name]
+    tables = {key: table for key, table in (("variance_table", variance_table),
+                                            ("stable_table", stable_table))
+              if key in inspect.signature(fn).parameters}
+    for key, table in tables.items():
+        if table is None:
+            raise DomainError(f"{name} needs a {key.replace('_', ' ')}")
+    return fn(**tables, **options)

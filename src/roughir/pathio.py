@@ -20,6 +20,9 @@ def _atomic_write(filename, text):
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+        umask = os.umask(0)  # mkstemp makes 0600; give the mode open() would
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, filename)
     except BaseException:
         if os.path.exists(tmp):

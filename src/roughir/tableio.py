@@ -146,7 +146,8 @@ def cached_table(kind, directory, **build):
     """Load the kind table built with **build from directory, building and
     saving it there first if missing.  The file name carries the kind,
     every build parameter and a digest of the package sources, so a table
-    built by other code or with other settings is never served."""
+    built by other code or with other settings is never served.  Building
+    deletes the files of the same kind and settings under other digests."""
     tag = "-".join(f"{k}{v}" for k, v in sorted(build.items()))
     fn = os.path.join(directory, f"{kind}-{tag}-{_source_digest()}.tsv")
     if os.path.exists(fn):
@@ -154,4 +155,7 @@ def cached_table(kind, directory, **build):
     table = KINDS[kind].build(**build)
     os.makedirs(directory, exist_ok=True)
     KINDS[kind].save(table, fn)
+    for old in Path(directory).glob(f"{kind}-{tag}-{'[0-9a-f]' * 12}.tsv"):
+        if old.name != os.path.basename(fn):
+            old.unlink()
     return table

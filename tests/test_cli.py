@@ -72,6 +72,28 @@ class TestSimulate:
             assert path.n == 128
             assert meta["kind"] == kind.replace("-", "_")
 
+    @pytest.mark.parametrize("argv, config, flag", [
+        (["--kind", "fbm", "--n", "64"], None, "--h"),
+        (["--kind", "levy-stable", "--n", "64"], None, "--alpha"),
+        (["--kind", "mbm", "--n", "64", "--h-start", "0.3"], None, "--h"),
+        (["--kind", "multiscale-fbm", "--n", "64", "--band", "1x0.3"], None, "--band"),
+        (["--kind", "multiscale-fbm", "--n", "64", "--band", "1:0.3", "--breaks", "abc"],
+         None, "--breaks"),
+        ([], "kind=fbm\nh=0.5\nn=abc\n", "--n"),
+        ([], "kind=fbm\nh=0.5\nn=64\ntrend=bogus\n", "--trend"),
+        ([], "kind=diffusion\nn=64\npreset=bogus\n", "--diffusion"),
+    ])
+    def test_missing_or_malformed_parameter_usage_error(self, tmp_path, capsys, argv,
+                                                         config, flag):
+        if config is not None:
+            (tmp_path / "sim.cfg").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "sim.cfg")]
+        out = tmp_path / "x.tsv"
+        assert run("simulate", *argv, "--seed", "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} " in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_hurst_round_trip(self, tmp_path, table_dir):
@@ -222,6 +244,23 @@ class TestExperimentCommand:
 
     def test_usage_error_exit_two(self):
         assert run("experiment", "--name", "not-an-experiment") == 2
+
+    def test_report_echoes_given_options(self, tmp_path, table_dir, variance_table,
+                                         capsys):
+        out = tmp_path / "r.json"
+        code = run("--table-dir", table_dir, "experiment", "--name", "clt-fbm",
+                   "--strict", "--h", "0.5", "--n", "512", "--reps", "100",
+                   "--seed", "5", "--out", str(out))
+        assert code in (0, 1)  # seeded verdicts may fail at this size
+        config = json.loads(out.read_text())["config"]
+        assert {k: config[k] for k in ("h_values", "n", "reps", "seed", "conf")} == \
+            {"h_values": [0.5], "n": 512, "reps": 100, "seed": 5, "conf": 0.95}
+        assert config["table_reps"] == variance_table.reps
+
+    @pytest.mark.parametrize("flag", ["--n", "--reps"])
+    def test_zero_size_reaches_experiment(self, flag, capsys):
+        assert run("experiment", "--name", "trend-robustness", flag, "0") == 2
+        assert ">= 1" in capsys.readouterr().err
 
 
 class TestEnvTableDir:

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,17 @@ class TestPathFiles:
         fn.write_text("# n=5\n0\t0.0\n1\t1.0\n")
         with pytest.raises(ParseError, match="n=5"):
             ri.read_path(str(fn))
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_files_honour_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            ri.write_path(ri.sim_brownian(8, seed=1), str(tmp_path / "p.tsv"))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "p.tsv").stat().st_mode) == mode
 
 
 class TestTableFiles:
@@ -173,4 +187,17 @@ class TestTableCache:
             build=lambda **build: built.append(build) or old))
         tableio.cached_table("stable", str(tmp_path), **self.BUILD)
         assert built == [self.BUILD]
-        assert len(list(tmp_path.iterdir())) == 2
+        assert [f.name[-16:-4] for f in tmp_path.iterdir()] == ["1" * 12]
+
+    def test_build_prunes_other_digests_of_same_settings(self, tmp_path, monkeypatch):
+        keep = ["stable-reps20000-seed5-000000000000.tsv",  # other settings
+                "gaussian-reps20000-seed4-000000000000.tsv",  # other kind
+                "stable-reps20000-seed4-notes.tsv"]  # not a digest
+        stale = ["stable-reps20000-seed4-000000000000.tsv",
+                 "stable-reps20000-seed4-0123456789ab.tsv"]
+        for name in keep + stale:
+            (tmp_path / name).write_text("x\n")
+        monkeypatch.setattr(tableio, "_source_digest", lambda: "f" * 12)
+        tableio.cached_table("stable", str(tmp_path), **self.BUILD)
+        fresh = "stable-reps20000-seed4-" + "f" * 12 + ".tsv"
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(keep + [fresh])
