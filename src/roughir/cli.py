@@ -18,7 +18,7 @@ from .errors import InterpolationError, RangeError, RoughIRError
 from .experiments import EXPERIMENT_NAMES, EXPERIMENTS, run_experiment
 from .gaussian import estimate_H, invert_Lambda2
 from .pathio import _atomic_write, read_path, write_path
-from .simulate import DIFFUSION_PRESETS, SIM_KINDS, SimSpec, simulate
+from .simulate import DIFFUSION_PRESETS, SIM_KINDS, SimSpec, simulate, simulator
 from .stable import estimate_alpha
 from .statistics import r_local, r_pn, r_tilde_2n
 
@@ -134,53 +134,50 @@ def _bands(value):
     return [float(s) for s, _ in bands], [float(h) for _, h in bands]
 
 
-_REQUIRED = object()
-
-
 def _build_spec(args):
     cfg = _read_config(args.config) if args.config else {}
 
-    def read(name, convert=float, default=_REQUIRED, key=None, choices=None):
-        """--name, else the config line <key>= (key defaults to name), then
-        checked and converted; a missing or malformed value raises
-        RoughIRError naming the flag."""
-        flag, key = "--" + name.replace("_", "-"), key or name
-        value = cfg.get(key, default) if getattr(args, name) is None else getattr(args, name)
-        if value is _REQUIRED:
-            raise RoughIRError(f"simulate needs {flag} or a config line {key}=")
+    def read(name, convert=float, default=None, key=None, choices=None):
+        """--name, else the config line <key>= (key defaults to name), else
+        default, then checked and converted; None when absent.  A malformed
+        value raises RoughIRError naming the flag."""
+        value = getattr(args, name)
+        value = cfg.get(key or name, default) if value is None else value
+        if value is None:
+            return None
         try:
             if choices is not None and value not in choices:
                 raise ValueError(f"expected one of {', '.join(choices)}")
-            return None if value is None else convert(value)
+            return convert(value)
         except ValueError as e:
-            raise RoughIRError(f"bad {flag} value {value!r}: {e}") from None
+            raise RoughIRError(f"bad --{name.replace('_', '-')} value {value!r}: {e}") from None
 
-    kind = read("kind", lambda v: v.replace("-", "_"))
-    n, seed = read("n", int), read("seed", int, 0)
-    params = {}
-    if kind == "fbm":
-        params["H"] = read("h")
-    elif kind == "mbm":
-        h0, h1 = read("h_start", default=None), read("h_end", default=None)
-        params["H"] = read("h") if h0 is None or h1 is None else [[0.0, h0], [1.0, h1]]
-    elif kind == "multiscale_fbm":
-        sigmas, hursts = read("band", _bands, key="bands")
-        breaks = read("breaks", lambda t: [float(x) for x in t.split(",") if x.strip()], "")
-        params.update(breaks=breaks, sigmas=sigmas, hursts=hursts)
-    elif kind == "diffusion":
-        params["preset"] = read("diffusion", str, "brownian", "preset", DIFFUSION_PRESETS)
-        params.update(refine=args.refine, x0=args.x0)  # flags only
-    elif kind == "levy_stable":
-        params.update(alpha=read("alpha"), scale=read("scale", default=1.0))
-    elif kind == "levy_compound":
-        params["a_weight"] = read("a_weight", default=0.0)
-        params.update({k: read(k, default=None) for k in
-                       ("rate", "jump_scale", "stable_alpha", "stable_c", "stable_cutoff")})
-    elif kind == "brownian":
-        params["scale"] = read("scale", default=None)
-    params = {k: v for k, v in params.items() if v is not None}
+    def needs(name):
+        flag, key = {"H": ("h", "h"), "sigmas": ("band", "bands"),
+                     "hursts": ("band", "bands")}.get(name, (name, name))
+        return RoughIRError(f"simulate needs --{flag} or a config line {key}=")
+
+    kind, n = read("kind", lambda v: v.replace("-", "_")), read("n", int)
+    if kind is None:
+        raise needs("kind")
+    fn = simulator(kind)
+    h0, h1 = read("h_start"), read("h_end")
+    sigmas, hursts = read("band", _bands, key="bands") or (None, None)
+    # a flag reaches the simulators whose signature names its parameter
+    params = _accepted(
+        fn, n=n, H=read("h") if None in (h0, h1) else [[0.0, h0], [1.0, h1]],
+        breaks=read("breaks", lambda t: [float(x) for x in t.split(",") if x.strip()], ""),
+        sigmas=sigmas, hursts=hursts,
+        preset=read("diffusion", str, key="preset", choices=DIFFUSION_PRESETS),
+        refine=args.refine, x0=args.x0,  # flags only
+        **{k: read(k) for k in ("alpha", "scale", "a_weight", "rate", "jump_scale",
+                                "stable_alpha", "stable_c", "stable_cutoff")})
+    for name, p in inspect.signature(fn).parameters.items():
+        if p.default is p.empty and name not in params and name != "seed":
+            raise needs(name)
     trend = TREND_PRESETS[read("trend", str, "none", choices=TREND_PRESETS)]
-    return SimSpec(kind=kind, n=n, seed=seed, params=params, trend=trend)
+    return SimSpec(kind=kind, n=params.pop("n"), seed=read("seed", int, 0), params=params,
+                   trend=trend)
 
 
 def cmd_simulate(args):
@@ -193,9 +190,11 @@ def cmd_simulate(args):
 
 
 def cmd_tables(args):
-    d = _table_dir(args)
-    os.makedirs(d, exist_ok=True)
-    fn = args.out or os.path.join(d, f"{args.kind}.tsv")
+    fn = args.out
+    if fn is None:
+        d = _table_dir(args)
+        os.makedirs(d, exist_ok=True)
+        fn = os.path.join(d, f"{args.kind}.tsv")
     kind = tableio.KINDS[args.kind]
     table = kind.build(**_accepted(kind.build, seed=args.seed, reps=args.reps,
                                    path_len=args.path_len))

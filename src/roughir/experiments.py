@@ -44,17 +44,19 @@ class ExperimentReport:
     started: float = field(default_factory=time.perf_counter, repr=False)
 
     @classmethod
-    def start(cls, name, arguments, **notes):
+    def start(cls, name, arguments, min_reps=1, **notes):
         """Report whose config echoes an experiment's bound arguments (tuples
-        as lists, a table as its build settings) plus fixed notes; grid sizes
-        and replication counts below 1 raise SizeError."""
+        as lists, a table as its build settings) plus fixed notes; a grid
+        size below 1 or a replication count below min_reps (2 where a sample
+        variance is taken) raises SizeError."""
         config = {}
         for key, value in arguments.items():
+            least = 1 if key == "n" else min_reps
             if key.endswith("_table"):
                 config.update({f"table_{k}": getattr(value, k)
                                for k in ("seed", "reps", "path_len") if hasattr(value, k)})
-            elif key in ("n", "reps", "pairs") and value < 1:
-                raise SizeError(f"{name} needs {key} >= 1, got {value}")
+            elif key in ("n", "reps", "pairs") and value < least:
+                raise SizeError(f"{name} needs {key} >= {least}, got {value}")
             else:
                 config[key] = list(value) if isinstance(value, tuple) else value
         return cls(name, {**config, **notes})
@@ -117,7 +119,7 @@ def _se(x):
 def exp_clt_fbm(variance_table, h_values=(0.3, 0.5, 0.7), p=2, n=4096,
                 reps=500, seed=1001, conf=0.95, var_rtol=0.20,
                 coverage_band=(0.92, 0.98)):
-    rep = ExperimentReport.start("clt-fbm", locals())
+    rep = ExperimentReport.start("clt-fbm", locals(), min_reps=2)
     for hi, H in enumerate(h_values):
         sampler = FbmSampler(n, H)
         vals = np.empty(reps)
@@ -163,7 +165,7 @@ def exp_diffusion_rate(ns=(1024, 4096, 16384), reps=200, seed=1002, refine=64,
     statistic measurable at 200 replications; weaker drifts leave it
     under the Monte Carlo noise floor.
     """
-    rep = ExperimentReport.start("diffusion-rate", locals(),
+    rep = ExperimentReport.start("diffusion-rate", locals(), min_reps=2,
                                  sde="a(x)=1+x^2, b(x)=-64(x-1), x0=1")
     a_func, b_func, x0 = DIFFUSION_PRESETS["mean-reverting"]
     l1, l2 = Lambda_p(1, 0.5), Lambda_p(2, 0.5)
@@ -224,7 +226,7 @@ def exp_trend_robustness(h=0.6, n=8192, pairs=200, seed=1003, tol=0.02):
 
 def exp_levy_clt(stable_table, alphas=(0.8, 1.2, 1.8), n=8192, reps=500,
                  seed=1004, var_rtol=0.25, psi0_alphas=(0.8, 1.8)):
-    rep = ExperimentReport.start("levy-clt", locals())
+    rep = ExperimentReport.start("levy-clt", locals(), min_reps=2)
     # anchor: the limit curve at alpha=2 equals the closed-form Gaussian value
     anchor = lam(0.0)
     i2 = int(np.argmin(np.abs(stable_table.alpha_grid - 2.0)))

@@ -18,7 +18,6 @@ COMPONENT_IDS = {
     "levy_stable": 5,
     "levy_compound": 6,
     "brownian": 7,
-    "gaussian_table": 8,
     "stable_table": 9,
     "experiment": 10,
     "stat_mc": 11,

@@ -9,6 +9,7 @@ deterministic functions of their seed.
 """
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ from .rng import derive_rng
 from .stable import sample_sym_stable
 
 MBM_DEFAULT_MAX_N = 8192  # dense factorization is O(n^3); cap unless overridden
+_MBM_COV_BLOCK = 512  # rows per block in mbm_covariance
 
 
 # ----------------------------------------------------------------------
@@ -66,6 +68,8 @@ class FbmSampler:
     """
 
     def __init__(self, n, H):
+        if np.ndim(H) != 0:
+            raise DomainError(f"fBm takes one Hurst exponent, got {H!r}")
         _check_H(H)
         if n < 2:
             raise SizeError(f"need grid size n >= 2, got {n}")
@@ -112,7 +116,7 @@ def _q1(h):
     return np.pi / (scipy.special.gamma(2.0 * h + 1.0) * np.sin(np.pi * h))
 
 
-def mbm_covariance(n, h_values, block=512):
+def mbm_covariance(n, h_values):
     """Harmonizable-representation covariance of mBm on the grid j/n, j=1..n.
 
     With Hb = (H(s)+H(t))/2,
@@ -128,8 +132,8 @@ def mbm_covariance(n, h_values, block=512):
     g = 1.0 / np.sqrt(2.0 * _q1(H))
     logt = np.log(t)
     C = np.empty((n, n))
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
+    for i0 in range(0, n, _MBM_COV_BLOCK):
+        i1 = min(i0 + _MBM_COV_BLOCK, n)
         Hb = 0.5 * (H[i0:i1, None] + H[None, :])
         E = 2.0 * Hb
         P = np.exp(E * logt[i0:i1, None])
@@ -143,12 +147,14 @@ def mbm_covariance(n, h_values, block=512):
 class MbmSampler:
     """Multifractional Brownian sampler by dense covariance factorization.
 
-    h_func maps [0,1] into (0,1).  The Cholesky factor is computed once
+    H is the exponent function, mapping [0,1] into (0,1): a callable of t,
+    a constant, one value per grid point j/n (j = 1..n), or (t, H) knot
+    rows interpolated linearly.  The Cholesky factor is computed once
     (with jitter retries on numerically indefinite input) and reused for
     every draw.  Cost is O(n^3)/O(n^2); n is capped at 8192 by default.
     """
 
-    def __init__(self, n, h_func, max_n=MBM_DEFAULT_MAX_N):
+    def __init__(self, n, H, max_n=MBM_DEFAULT_MAX_N):
         if n < 2:
             raise SizeError(f"need grid size n >= 2, got {n}")
         if n > max_n:
@@ -157,15 +163,17 @@ class MbmSampler:
             )
         self.n = int(n)
         t = np.arange(1, n + 1) / n
-        H = np.asarray([h_func(tt) for tt in t], dtype=float) if callable(h_func) \
-            else np.asarray(h_func, dtype=float)
-        if H.shape != t.shape:
-            raise DomainError("h_func must yield one exponent per grid point")
-        if not ((H > 0.0) & (H < 1.0)).all():
+        h = np.asarray([H(tt) for tt in t] if callable(H) else H, dtype=float)
+        if h.ndim == 0:
+            h = np.full(t.shape, h)
+        elif h.ndim == 2 and h.shape[1] == 2:
+            h = np.interp(t, h[:, 0], h[:, 1])
+        if h.shape != t.shape:
+            raise DomainError("H must be a callable, a constant, one exponent per grid "
+                              "point or (t, H) knot rows")
+        if not ((h > 0.0) & (h < 1.0)).all():
             raise DomainError("exponent function must map into (0,1) on the grid")
-        self.h_values = H
-        C = mbm_covariance(n, H)
-        self._L = self._factor(C)
+        self._L = self._factor(mbm_covariance(n, h))
 
     @staticmethod
     def _factor(C):
@@ -201,9 +209,10 @@ class MbmSampler:
         return out
 
 
-def sim_mbm(n, h_func, seed, max_n=MBM_DEFAULT_MAX_N):
-    """One multifractional Brownian path with exponent function h_func."""
-    return MbmSampler(n, h_func, max_n=max_n).sample_path(derive_rng(seed, "mbm"))
+def sim_mbm(n, H, seed, max_n=MBM_DEFAULT_MAX_N):
+    """One multifractional Brownian path with exponent function H (any form
+    MbmSampler takes)."""
+    return MbmSampler(n, H, max_n=max_n).sample_path(derive_rng(seed, "mbm"))
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +352,24 @@ def sim_diffusion_batch(n, a_func, b_func, x0, refine, seed, reps):
     return _euler_paths(n, a_func, b_func, x0, refine, rngs)
 
 
+DIFFUSION_PRESETS = {
+    # (a(x), b(x), x0): named coefficient sets usable from specs and config files
+    "brownian": (lambda x: np.ones_like(x), lambda x: np.zeros_like(x), 0.0),
+    "mean-reverting": (lambda x: 1.0 + x * x, lambda x: -64.0 * (x - 1.0), 1.0),
+}
+
+
+def _sim_preset_diffusion(n, seed=0, preset="brownian", x0=None, refine=64):
+    """sim_diffusion with the coefficients of a DIFFUSION_PRESETS entry and,
+    unless x0 is given, its start value: the diffusion kind of SimSpec."""
+    if preset not in DIFFUSION_PRESETS:
+        raise DomainError(f"unknown diffusion preset {preset!r}; "
+                          f"expected one of {tuple(DIFFUSION_PRESETS)}")
+    a_func, b_func, start = DIFFUSION_PRESETS[preset]
+    return sim_diffusion(n, a_func, b_func, start if x0 is None else x0,
+                         refine=refine, seed=seed)
+
+
 # ----------------------------------------------------------------------
 # Levy paths
 # ----------------------------------------------------------------------
@@ -356,40 +383,6 @@ def sim_levy_stable(n, alpha, scale=1.0, seed=0):
     return _path_from_increments(inc)
 
 
-@dataclass(frozen=True)
-class CompoundJumpSpec:
-    """Finite-activity jump description plus an optional small-jump tail.
-
-    rate/jump_scale/jump_dist give a compound-Poisson part with symmetric
-    jumps.  stable_alpha adds power-law small jumps with tail mass
-    K(u) = stable_c * (u^-alpha - stable_max^-alpha) truncated below
-    stable_cutoff; no drift compensation is needed for symmetric jumps.
-    """
-
-    rate: float = 0.0
-    jump_scale: float = 1.0
-    jump_dist: str = "normal"  # normal | laplace | uniform
-    stable_alpha: float | None = None
-    stable_c: float = 1.0
-    stable_cutoff: float = 1e-4
-    stable_max: float = 1.0
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise DomainError(f"jump rate must be >= 0, got {self.rate}")
-        if self.jump_scale <= 0:
-            raise DomainError(f"jump scale must be positive, got {self.jump_scale}")
-        if self.jump_dist not in ("normal", "laplace", "uniform"):
-            raise DomainError(f"unknown jump distribution {self.jump_dist!r}")
-        if self.stable_alpha is not None:
-            if not 0.0 < self.stable_alpha < 2.0:
-                raise DomainError(f"small-jump index must lie in (0,2), got {self.stable_alpha}")
-            if not 0.0 < self.stable_cutoff < self.stable_max:
-                raise DomainError("need 0 < stable_cutoff < stable_max")
-            if self.stable_c <= 0:
-                raise DomainError(f"small-jump mass must be positive, got {self.stable_c}")
-
-
 def _window_jump_sums(rng, n, rate, draw_sizes):
     """Sum of Poisson-many jumps per grid window (vectorized over windows)."""
     counts = rng.poisson(rate / n, n)
@@ -401,33 +394,50 @@ def _window_jump_sums(rng, n, rate, draw_sizes):
     return np.bincount(idx, weights=sizes, minlength=n)
 
 
-def sim_levy_compound(n, a_weight, jump_spec, seed=0):
+def sim_levy_compound(n, a_weight=0.0, seed=0, *, rate=0.0, jump_scale=1.0,
+                      jump_dist="normal", stable_alpha=None, stable_c=1.0,
+                      stable_cutoff=1e-4, stable_max=1.0):
     """Brownian part + compound-Poisson jumps + truncated small-jump tail.
 
-    a_weight scales an independent Brownian component; jump_spec is a
-    CompoundJumpSpec (or dict of its fields).
+    a_weight scales an independent Brownian component.  rate, jump_scale
+    and jump_dist (normal | laplace | uniform) give a compound-Poisson part
+    with symmetric jumps.  stable_alpha adds power-law small jumps with tail
+    mass K(u) = stable_c * (u^-alpha - stable_max^-alpha) truncated below
+    stable_cutoff; no drift compensation is needed for symmetric jumps.
     """
     if a_weight < 0:
         raise DomainError(f"Brownian weight must be >= 0, got {a_weight}")
-    spec = jump_spec if isinstance(jump_spec, CompoundJumpSpec) else CompoundJumpSpec(**jump_spec)
+    if rate < 0:
+        raise DomainError(f"jump rate must be >= 0, got {rate}")
+    if jump_scale <= 0:
+        raise DomainError(f"jump scale must be positive, got {jump_scale}")
+    if jump_dist not in ("normal", "laplace", "uniform"):
+        raise DomainError(f"unknown jump distribution {jump_dist!r}")
+    if stable_alpha is not None:
+        if not 0.0 < stable_alpha < 2.0:
+            raise DomainError(f"small-jump index must lie in (0,2), got {stable_alpha}")
+        if not 0.0 < stable_cutoff < stable_max:
+            raise DomainError("need 0 < stable_cutoff < stable_max")
+        if stable_c <= 0:
+            raise DomainError(f"small-jump mass must be positive, got {stable_c}")
     rng = derive_rng(seed, "levy_compound")
 
     inc = np.zeros(n)
     if a_weight > 0:
         inc += rng.standard_normal(n) * (a_weight / math.sqrt(n))
 
-    if spec.rate > 0:
+    if rate > 0:
         def draw_big(rng, m):
-            if spec.jump_dist == "normal":
-                return rng.standard_normal(m) * spec.jump_scale
-            if spec.jump_dist == "laplace":
-                return rng.laplace(0.0, spec.jump_scale, m)
-            return rng.uniform(-spec.jump_scale, spec.jump_scale, m)
-        inc += _window_jump_sums(rng, n, spec.rate, draw_big)
+            if jump_dist == "normal":
+                return rng.standard_normal(m) * jump_scale
+            if jump_dist == "laplace":
+                return rng.laplace(0.0, jump_scale, m)
+            return rng.uniform(-jump_scale, jump_scale, m)
+        inc += _window_jump_sums(rng, n, rate, draw_big)
 
-    if spec.stable_alpha is not None:
-        al, eps, umax = spec.stable_alpha, spec.stable_cutoff, spec.stable_max
-        lam_eps = spec.stable_c * (eps ** (-al) - umax ** (-al))
+    if stable_alpha is not None:
+        al, eps, umax = stable_alpha, stable_cutoff, stable_max
+        lam_eps = stable_c * (eps ** (-al) - umax ** (-al))
 
         def draw_small(rng, m):
             # inverse-transform for tail K(u) ~ u^-alpha on [eps, umax]
@@ -456,22 +466,35 @@ def apply_trend(path, alpha_func, beta_func):
     return SampledPath(al * path.values + be)
 
 
-SIM_KINDS = ("fbm", "mbm", "multiscale_fbm", "diffusion", "levy_stable",
-             "levy_compound", "brownian")
-
-DIFFUSION_PRESETS = {
-    # (a(x), b(x), x0): named coefficient sets usable from config files
-    "brownian": (lambda x: np.ones_like(x), lambda x: np.zeros_like(x), 0.0),
-    "mean-reverting": (lambda x: 1.0 + x * x, lambda x: -64.0 * (x - 1.0), 1.0),
+# the process kinds of SimSpec and `roughir simulate`; a spec's params are
+# its simulator's keyword parameters
+SIMULATORS = {
+    "fbm": sim_fbm,
+    "mbm": sim_mbm,
+    "multiscale_fbm": sim_multiscale_fbm,
+    "diffusion": _sim_preset_diffusion,
+    "levy_stable": sim_levy_stable,
+    "levy_compound": sim_levy_compound,
+    "brownian": sim_brownian,
 }
+SIM_KINDS = tuple(SIMULATORS)
+
+
+def simulator(kind):
+    """SIMULATORS[kind]; DomainError for an unknown kind."""
+    if kind not in SIMULATORS:
+        raise DomainError(f"unknown process kind {kind!r}; expected one of {SIM_KINDS}")
+    return SIMULATORS[kind]
 
 
 @dataclass(frozen=True)
 class SimSpec:
     """Declarative description of one simulation (kind, size, seed, params).
 
-    params is kind-specific; trend, when present, is a pair of callables
-    (alpha(t), beta(t)) applied pointwise after simulation.
+    params are the keyword arguments of SIMULATORS[kind] other than n and
+    seed; a missing or unknown one raises DomainError here.  trend, when
+    present, is a pair of callables (alpha(t), beta(t)) applied pointwise
+    after simulation.
     """
 
     kind: str
@@ -481,55 +504,23 @@ class SimSpec:
     trend: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in SIM_KINDS:
-            raise DomainError(f"unknown process kind {self.kind!r}; expected one of {SIM_KINDS}")
+        names = inspect.signature(simulator(self.kind)).parameters
         if self.n < 2:
             raise SizeError(f"need grid size n >= 2, got {self.n}")
         if self.seed < 0:
             raise DomainError("seed must be a nonnegative integer")
-
-
-def _mbm_h_from_params(params):
-    h = params.get("H")
-    if callable(h):
-        return h
-    if h is not None and not np.isscalar(h):
-        knots = np.asarray(h, dtype=float)  # piecewise-linear (t, H) rows
-        return lambda t: float(np.interp(t, knots[:, 0], knots[:, 1]))
-    if np.isscalar(h):
-        return lambda t: float(h)
-    raise DomainError("mbm needs params['H']: callable, constant, or (t,H) knot rows")
+        free = [k for k in names if k not in ("n", "seed")]
+        missing = [k for k in free if names[k].default is inspect.Parameter.empty
+                   and k not in self.params]
+        unknown = [k for k in self.params if k not in free]
+        if missing or unknown:
+            raise DomainError(f"{self.kind} takes params {free}; missing {missing}, "
+                              f"unknown {unknown}")
 
 
 def simulate(spec):
     """Run one SimSpec and return its SampledPath."""
-    p = dict(spec.params)
-    if spec.kind == "fbm":
-        path = sim_fbm(spec.n, p["H"], spec.seed)
-    elif spec.kind == "brownian":
-        path = sim_brownian(spec.n, spec.seed, scale=p.get("scale", 1.0))
-    elif spec.kind == "mbm":
-        path = sim_mbm(spec.n, _mbm_h_from_params(p), spec.seed,
-                       max_n=p.get("max_n", MBM_DEFAULT_MAX_N))
-    elif spec.kind == "multiscale_fbm":
-        path = sim_multiscale_fbm(spec.n, p["breaks"], p["sigmas"], p["hursts"],
-                                  spec.seed, cutoff=p.get("cutoff"),
-                                  freq_points=p.get("freq_points", 2**20))
-    elif spec.kind == "diffusion":
-        if "preset" in p:
-            a_func, b_func, x0 = DIFFUSION_PRESETS[p["preset"]]
-            x0 = p.get("x0", x0)
-        else:
-            a_func, b_func, x0 = p["a"], p["b"], p.get("x0", 0.0)
-        path = sim_diffusion(spec.n, a_func, b_func, x0,
-                             refine=p.get("refine", 64), seed=spec.seed)
-    elif spec.kind == "levy_stable":
-        path = sim_levy_stable(spec.n, p["alpha"], scale=p.get("scale", 1.0), seed=spec.seed)
-    elif spec.kind == "levy_compound":
-        jump = {k: v for k, v in p.items() if k != "a_weight"}
-        path = sim_levy_compound(spec.n, p.get("a_weight", 0.0), jump, seed=spec.seed)
-    else:  # pragma: no cover - guarded in SimSpec
-        raise DomainError(f"unknown kind {spec.kind!r}")
+    path = SIMULATORS[spec.kind](spec.n, seed=spec.seed, **spec.params)
     if spec.trend is not None:
-        path = apply_trend(path, spec.trend[0], spec.trend[1])
+        path = apply_trend(path, *spec.trend)
     return path

@@ -206,6 +206,16 @@ class TestTables:
                        "--seed", "9", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_out_elsewhere_creates_no_table_dir(self, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.delenv("ROUGHIR_TABLE_DIR", raising=False)
+        out = tmp_path / "s.tsv"
+        assert run("tables", "--kind", "stable", "--reps", "20000", "--out", str(out)) == 0
+        assert out.exists()
+        assert list(work.iterdir()) == []
+
     def test_zero_reps_rejected(self, tmp_path, capsys):
         assert run("tables", "--kind", "stable", "--reps", "0",
                    "--out", str(tmp_path / "s.tsv")) == 2
@@ -257,10 +267,18 @@ class TestExperimentCommand:
             {"h_values": [0.5], "n": 512, "reps": 100, "seed": 5, "conf": 0.95}
         assert config["table_reps"] == variance_table.reps
 
-    @pytest.mark.parametrize("flag", ["--n", "--reps"])
-    def test_zero_size_reaches_experiment(self, flag, capsys):
-        assert run("experiment", "--name", "trend-robustness", flag, "0") == 2
-        assert ">= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("name, flag, value, least", [
+        ("trend-robustness", "--n", "0", 1),
+        ("trend-robustness", "--reps", "0", 1),
+        # these take a sample variance over the replications
+        ("clt-fbm", "--reps", "1", 2),
+        ("diffusion-rate", "--reps", "1", 2),
+        ("levy-clt", "--reps", "1", 2),
+    ], ids=["--n", "--reps", "clt-fbm-reps-1", "diffusion-rate-reps-1", "levy-clt-reps-1"])
+    def test_zero_size_reaches_experiment(self, table_dir, name, flag, value, least, capsys):
+        assert run("--table-dir", table_dir, "experiment", "--name", name, "--strict",
+                   flag, value) == 2
+        assert f">= {least}" in capsys.readouterr().err
 
 
 class TestEnvTableDir:

@@ -1,8 +1,13 @@
 import os
 import stat
+import string
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import roughir as ri
 from roughir import tableio
@@ -29,6 +34,26 @@ class TestPathFiles:
         assert meta["seed"] == "5"
         assert meta["params"] == "H=0.37"
         assert meta["n"] == "257"
+
+    @settings(deadline=None, max_examples=50)
+    @given(values=arrays(np.float64, st.integers(2, 40),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)),
+           kind=st.text(string.ascii_letters + string.digits + "_-", min_size=1, max_size=12),
+           seed=st.integers(0, 2**63 - 1),
+           params=st.dictionaries(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True),
+                                  st.one_of(st.integers(-10**9, 10**9),
+                                            st.floats(allow_nan=False, allow_infinity=False)),
+                                  max_size=4))
+    def test_round_trip_property(self, values, kind, seed, params):
+        with tempfile.TemporaryDirectory() as d:
+            fn = os.path.join(d, "p.tsv")
+            ri.write_path(ri.SampledPath(values), fn, kind=kind, seed=seed, params=params)
+            back, meta = ri.read_path(fn)
+        assert back.values.tobytes() == values.tobytes()
+        header = {"n": str(values.size - 1), "kind": kind, "seed": str(seed)}
+        if params:
+            header["params"] = ",".join(f"{k}={v}" for k, v in params.items())
+        assert meta == header
 
     def test_rewrite_is_identical(self, tmp_path):
         p = ri.sim_levy_stable(100, 1.5, seed=9)

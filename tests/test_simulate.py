@@ -7,7 +7,7 @@ import pytest
 import roughir as ri
 from roughir.errors import (DomainError, FactorizationError, ResolutionError,
                             SimulationError, SizeError)
-from roughir.simulate import mbm_covariance
+from roughir.simulate import DIFFUSION_PRESETS, SIM_KINDS, mbm_covariance
 
 from .oracles import fbm_cov, spectral_variogram
 
@@ -105,6 +105,23 @@ class TestMbm:
     def test_size_cap(self):
         with pytest.raises(SizeError):
             ri.MbmSampler(2**14, lambda t: 0.5)
+
+    @pytest.mark.parametrize("H, h_func", [
+        (0.45, lambda t: 0.45),
+        ([[0.0, 0.25], [0.5, 0.6], [1.0, 0.35]],
+         lambda t: float(np.interp(t, [0.0, 0.5, 1.0], [0.25, 0.6, 0.35]))),
+        (0.3 + 0.4 * np.arange(1, 129) / 128, lambda t: 0.3 + 0.4 * t),
+    ])
+    def test_exponent_forms_match_callable(self, H, h_func):
+        # a constant, knot rows and per-grid values give the callable's path
+        a = ri.sim_mbm(128, H, seed=5)
+        b = ri.sim_mbm(128, h_func, seed=5)
+        assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("H", [[0.3, 0.7], [], [[0.0, 0.3, 0.5]]])
+    def test_malformed_exponent_rejected(self, H):
+        with pytest.raises(DomainError):
+            ri.MbmSampler(64, H)
 
 
 class TestMultiscale:
@@ -219,7 +236,7 @@ class TestLevyStable:
 
 class TestLevyCompound:
     def test_zero_activity_constant_path(self):
-        p = ri.sim_levy_compound(64, 0.0, dict(rate=0.0), seed=1)
+        p = ri.sim_levy_compound(64, 0.0, seed=1, rate=0.0)
         assert np.all(p.values == 0.0)
         s = ri.r_tilde_2n(p)
         assert s.value == 1.0
@@ -230,8 +247,7 @@ class TestLevyCompound:
         # Gaussian boundary alpha = 2
         hats = np.empty(40)
         for i in range(40):
-            p = ri.sim_levy_compound(2**12, 1.0, dict(rate=5.0, jump_scale=2.0),
-                                     seed=9000 + i)
+            p = ri.sim_levy_compound(2**12, 1.0, seed=9000 + i, rate=5.0, jump_scale=2.0)
             hats[i] = ri.estimate_alpha(p, stable_table).alpha_hat
         assert hats.mean() > 1.9
 
@@ -239,9 +255,8 @@ class TestLevyCompound:
         alpha, n, reps = 1.2, 2**14, 100
         hats = np.empty(reps)
         for i in range(reps):
-            p = ri.sim_levy_compound(
-                n, 0.0, dict(stable_alpha=alpha, stable_c=1.0, stable_cutoff=1e-5),
-                seed=9500 + i)
+            p = ri.sim_levy_compound(n, 0.0, seed=9500 + i, stable_alpha=alpha,
+                                     stable_c=1.0, stable_cutoff=1e-5)
             hats[i] = ri.estimate_alpha(p, stable_table).alpha_hat
         se = hats.std(ddof=1) / math.sqrt(reps)
         dl = stable_table.interp("dlam", alpha)
@@ -250,11 +265,11 @@ class TestLevyCompound:
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
-            ri.CompoundJumpSpec(rate=-1.0)
+            ri.sim_levy_compound(64, seed=1, rate=-1.0)
         with pytest.raises(DomainError):
-            ri.CompoundJumpSpec(stable_alpha=2.5)
+            ri.sim_levy_compound(64, seed=1, stable_alpha=2.5)
         with pytest.raises(DomainError):
-            ri.sim_levy_compound(64, -0.5, dict(rate=1.0), seed=1)
+            ri.sim_levy_compound(64, -0.5, seed=1, rate=1.0)
 
 
 class TestTrend:
@@ -276,20 +291,28 @@ class TestTrend:
 
 class TestSimSpec:
     def test_dispatch_each_kind(self):
-        specs = [
-            ri.SimSpec("fbm", 64, 1, {"H": 0.6}),
-            ri.SimSpec("brownian", 64, 1, {}),
-            ri.SimSpec("mbm", 64, 1, {"H": [[0.0, 0.3], [1.0, 0.7]]}),
-            ri.SimSpec("multiscale_fbm", 64, 1,
-                       {"breaks": [], "sigmas": [1.0], "hursts": [0.5]}),
-            ri.SimSpec("diffusion", 64, 1, {"preset": "brownian", "refine": 16}),
-            ri.SimSpec("levy_stable", 64, 1, {"alpha": 1.5}),
-            ri.SimSpec("levy_compound", 64, 1, {"a_weight": 1.0, "rate": 3.0}),
+        a_func, b_func, _ = DIFFUSION_PRESETS["brownian"]
+        cases = [
+            (ri.SimSpec("fbm", 64, 1, {"H": 0.6}), lambda: ri.sim_fbm(64, 0.6, 1)),
+            (ri.SimSpec("brownian", 64, 1, {}), lambda: ri.sim_brownian(64, 1)),
+            (ri.SimSpec("mbm", 64, 1, {"H": [[0.0, 0.3], [1.0, 0.7]]}),
+             lambda: ri.sim_mbm(64, [[0.0, 0.3], [1.0, 0.7]], 1)),
+            (ri.SimSpec("multiscale_fbm", 64, 1,
+                        {"breaks": [], "sigmas": [1.0], "hursts": [0.5]}),
+             lambda: ri.sim_multiscale_fbm(64, [], [1.0], [0.5], 1)),
+            (ri.SimSpec("diffusion", 64, 1, {"preset": "brownian", "refine": 16}),
+             lambda: ri.sim_diffusion(64, a_func, b_func, 0.0, refine=16, seed=1)),
+            (ri.SimSpec("levy_stable", 64, 1, {"alpha": 1.5}),
+             lambda: ri.sim_levy_stable(64, 1.5, seed=1)),
+            (ri.SimSpec("levy_compound", 64, 1, {"a_weight": 1.0, "rate": 3.0}),
+             lambda: ri.sim_levy_compound(64, 1.0, seed=1, rate=3.0)),
         ]
-        for spec in specs:
+        assert {spec.kind for spec, _ in cases} == set(SIM_KINDS)
+        for spec, direct in cases:
             path = ri.simulate(spec)
             assert len(path) == 65
             assert path.values[0] == 0.0
+            assert np.array_equal(path.values, direct().values), spec.kind
 
     def test_bit_identical_reruns(self):
         spec = ri.SimSpec("fbm", 256, 12345, {"H": 0.42})
@@ -304,3 +327,23 @@ class TestSimSpec:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             ri.SimSpec("ornstein", 64, 1, {})
+
+    @pytest.mark.parametrize("kind, params, named", [
+        ("fbm", {"H": 0.5, "alpha": 2}, "unknown ['alpha']"),
+        ("brownian", {"H": 0.3}, "unknown ['H']"),
+        ("fbm", {}, "missing ['H']"),
+        ("levy_compound", {"bogus": 1}, "unknown ['bogus']"),
+        ("multiscale_fbm", {"breaks": []}, "missing ['sigmas', 'hursts']"),
+        ("fbm", {"H": 0.5, "seed": 3}, "unknown ['seed']"),
+        ("diffusion", {"preset": "nope"}, None),
+        ("mbm", {"H": [0.3, 0.7]}, None),
+        ("fbm", {"H": [[0.0, 0.3], [1.0, 0.7]]}, None),
+    ])
+    def test_bad_params_domain_error(self, kind, params, named):
+        # a missing or unknown name fails when the spec is built; a bad value
+        # fails in the simulator, before any draw
+        with pytest.raises(DomainError) as info:
+            spec = ri.SimSpec(kind, 64, 1, params)
+            assert named is None, "built a spec with a missing or unknown param"
+            ri.simulate(spec)
+        assert named is None or named in str(info.value)
