@@ -23,8 +23,7 @@ from .simulate import (FbmSampler, MbmSampler, SimSpec, apply_trend,
                        sim_brownian, sim_diffusion, sim_fbm, sim_levy_compound,
                        sim_levy_stable, sim_mbm, sim_multiscale_fbm, simulate)
 from .stable import (AlphaEstimate, LambdaTildeTable, build_stable_table,
-                     estimate_alpha, invert_lambda_tilde, lambda_tilde,
-                     sample_sym_stable, sigma_tilde_sq)
+                     estimate_alpha, invert_lambda_tilde, sample_sym_stable)
 from .statistics import (IRSummary, psi, psi0, r0_pn, r0_tilde_2n, r_an,
                          r_local, r_pn, r_tilde_2n)
 from .tableio import (load_stable_table, load_variance_table,

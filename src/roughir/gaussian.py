@@ -16,10 +16,10 @@ the statistic's variance.
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.stats import norm
 
 from .errors import DomainError, InterpolationError, RangeError, SizeError
 from .rng import derive_rng
@@ -55,6 +55,8 @@ def lam0(r):
 
 
 def _check_H(H):
+    if np.ndim(H) != 0:
+        raise DomainError(f"Hurst exponent must be a scalar, got {H!r}")
     if not 0.0 < H < 1.0:
         raise DomainError(f"Hurst exponent must lie in (0,1), got {H}")
 
@@ -66,6 +68,11 @@ def rho_p(p, H):
     rho_2(H) = (-3^(2H) + 2^(2H+2) - 7) / (8 - 2^(2H+1))
     """
     _check_H(H)
+    return _rho_p(p, H)
+
+
+def _rho_p(p, H):
+    """rho_p without the check on H (the inversion's bisection stays in (0,1))."""
     if p == 1:
         return 2.0 ** (2 * H - 1) - 1.0
     if p == 2:
@@ -99,7 +106,7 @@ def invert_Lambda2(v, tol=1e-10):
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if Lambda_p(2, mid) < v:
+        if lam(_rho_p(2, mid)) < v:
             lo = mid
         else:
             hi = mid
@@ -199,7 +206,6 @@ def sigma_p_mc(p, H, reps=500, path_len=4096, seed=0):
 # ----------------------------------------------------------------------
 
 H_GRID_DEFAULT = np.round(np.arange(0.05, 0.9501, 0.05), 10)
-P1_H_MAX = 0.70  # largest grid point below the p=1 validity bound 3/4
 
 
 @dataclass(frozen=True)
@@ -278,6 +284,16 @@ def build_variance_table(reps=2000, path_len=4096, seed=20240601,
     return VarianceTable(grid, s1, s1e, s2, s2e, reps=reps, path_len=path_len, seed=seed)
 
 
+def _normal_quantile(path, conf):
+    """Two-sided standard normal quantile of a conf-level interval around an
+    estimate from path, after the checks both estimators share."""
+    if path.n < 16:
+        raise SizeError(f"need n >= 16 for estimation, got n={path.n}")
+    if not 0.0 < conf < 1.0:
+        raise DomainError(f"confidence must lie in (0,1), got {conf}")
+    return NormalDist().inv_cdf(0.5 * (1.0 + conf))
+
+
 @dataclass(frozen=True)
 class HurstEstimate:
     """Point estimate of the Hurst exponent with a normal-theory interval."""
@@ -299,15 +315,11 @@ def estimate_H(path, variance_table, conf=0.95):
     Sigma_2 interpolated from the table, and the interval uses normal
     quantiles at the requested confidence.
     """
-    if path.n < 16:
-        raise SizeError(f"need n >= 16 for estimation, got n={path.n}")
-    if not 0.0 < conf < 1.0:
-        raise DomainError(f"confidence must lie in (0,1), got {conf}")
+    z = _normal_quantile(path, conf)
     stat = r_pn(path, 2)
     h_hat = invert_Lambda2(stat.value)  # RangeError propagates with bounds
     sigma2 = variance_table.sigma(2, h_hat)
     se = math.sqrt(s2_sq(h_hat, sigma2)) / math.sqrt(path.n)
-    z = float(norm.ppf(0.5 * (1.0 + conf)))
     return HurstEstimate(h_hat=h_hat, stderr=se, ci_low=h_hat - z * se,
                          ci_high=h_hat + z * se, statistic=stat, n=path.n,
                          confidence=conf)

@@ -1,7 +1,7 @@
 """Path file format: `# key=value` header lines, then t<TAB>value rows.
 
 Values are written with 17 significant digits, which round-trips IEEE
-doubles exactly.
+doubles exactly.  Row j of a path with n+1 rows is sampled at t = j/n.
 """
 
 import math
@@ -12,6 +12,9 @@ import numpy as np
 
 from .errors import ParseError
 from .increments import SampledPath
+
+# largest accepted |t*n - j| for row j of n+1 rows: a thousandth of a grid step
+T_TOL = 1e-3
 
 
 def _atomic_write(filename, text):
@@ -50,11 +53,11 @@ def write_path(path, filename, kind="data", seed=None, params=None):
 def read_path(filename):
     """Read a path file; returns (SampledPath, header dict).
 
-    Malformed or non-finite rows raise ParseError carrying the 1-based
-    line number.
+    Malformed or non-finite rows, and rows whose time is not j/n, raise
+    ParseError carrying the 1-based line number.
     """
     meta = {}
-    values = []
+    times, values, linenos = [], [], []
     with open(filename) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -76,7 +79,9 @@ def read_path(filename):
                 raise ParseError(f"non-numeric row {line!r}", line=lineno) from None
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise ParseError(f"non-finite sample {line!r}", line=lineno)
+            times.append(t)
             values.append(v)
+            linenos.append(lineno)
     if len(values) < 2:
         raise ParseError("file holds fewer than 2 samples", line=None)
     if "n" in meta:
@@ -86,4 +91,10 @@ def read_path(filename):
             raise ParseError(f"header n={meta['n']!r} is not an integer", line=None) from None
         if n + 1 != len(values):
             raise ParseError(f"header says n={n} but file has {len(values)} rows", line=None)
+    n = len(values) - 1
+    off = np.flatnonzero(np.abs(np.asarray(times) * n - np.arange(n + 1)) > T_TOL)
+    if off.size:
+        j = int(off[0])
+        raise ParseError(f"row {j} has time {times[j]!r}, expected {j}/{n} on the sampling grid",
+                         line=linenos[j])
     return SampledPath(np.asarray(values)), meta

@@ -68,8 +68,6 @@ class FbmSampler:
     """
 
     def __init__(self, n, H):
-        if np.ndim(H) != 0:
-            raise DomainError(f"fBm takes one Hurst exponent, got {H!r}")
         _check_H(H)
         if n < 2:
             raise SizeError(f"need grid size n >= 2, got {n}")
@@ -186,8 +184,6 @@ class MbmSampler:
                 return scipy.linalg.cholesky(C, lower=True, overwrite_a=(j == 0.0),
                                              check_finite=False)
             except np.linalg.LinAlgError:
-                continue
-            except scipy.linalg.LinAlgError:
                 continue
         raise FactorizationError(
             f"covariance not positive definite after jitter retries {jitters[1:]}"

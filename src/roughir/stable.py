@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.stats import norm
 
 from .errors import DomainError, RangeError, SizeError
+from .gaussian import _normal_quantile
 from .rng import derive_rng
 from .statistics import IRSummary, psi_terms, r_tilde_2n
 
@@ -57,12 +57,6 @@ def _check_reps(reps):
         raise SizeError(f"need at least 1e4 replications, got {reps}")
 
 
-def _stable_draw(alpha, reps, seed, cols):
-    """(reps, cols) stable draw from the table stream of seed."""
-    _check_reps(reps)
-    return sample_sym_stable(alpha, derive_rng(seed, "stable_table"), (reps, cols))
-
-
 def _psi_moments(z):
     """Monte Carlo moments of A = psi(Z1,Z2), B = psi(Z2,Z3) from an
     (reps, 3) stable draw: (mean of A, its stderr, 2 var(A) + 4 cov(A, B),
@@ -79,24 +73,6 @@ def _psi_moments(z):
         per[k] = 2.0 * Ab.var(ddof=1) + 4.0 * float(np.cov(Ab, Bb)[0, 1])
     return (A.mean(), A.std(ddof=1) / math.sqrt(reps), sig,
             per.std(ddof=1) / math.sqrt(batches))
-
-
-def lambda_tilde(alpha, reps=100_000, seed=0):
-    """Monte Carlo (estimate, stderr) of E psi(Z1, Z2) over stable pairs."""
-    z = _stable_draw(alpha, reps, seed, 2)
-    t, _ = psi_terms(z[:, 0], z[:, 1], "psi")
-    return float(t.mean()), float(t.std(ddof=1) / math.sqrt(reps))
-
-
-def sigma_tilde_sq(alpha, reps=100_000, seed=0):
-    """Monte Carlo (estimate, stderr) of 2 var(A) + 4 cov(A, B) where
-    A = psi(Z1,Z2), B = psi(Z2,Z3) over independent stable triples.
-
-    The stderr comes from batch means; the estimate may be clipped at 0
-    by callers (asymptotic variances are nonnegative).
-    """
-    _, _, sig, sig_se = _psi_moments(_stable_draw(alpha, reps, seed, 3))
-    return float(sig), float(sig_se)
 
 
 def _pava_decreasing(y):
@@ -167,6 +143,9 @@ def build_stable_table(reps=1_000_000, seed=20240602, alpha_grid=None, progress=
     """
     _check_reps(reps)
     grid = ALPHA_GRID_DEFAULT if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
+        raise DomainError(f"alpha grid must hold at least 2 strictly increasing points, "
+                          f"got {grid.tolist()}")
     rng = derive_rng(seed, "stable_table")
     u = rng.uniform(-math.pi / 2, math.pi / 2, (reps, 3))
     w = rng.exponential(1.0, (reps, 3))
@@ -240,10 +219,7 @@ def estimate_alpha(path, table, conf=0.95):
     to the nearest boundary instead of failing: sampling noise routinely
     crosses the alpha = 2 edge.
     """
-    if path.n < 16:
-        raise SizeError(f"need n >= 16 for estimation, got n={path.n}")
-    if not 0.0 < conf < 1.0:
-        raise DomainError(f"confidence must lie in (0,1), got {conf}")
+    z = _normal_quantile(path, conf)
     stat = r_tilde_2n(path)
     clamped = False
     try:
@@ -255,7 +231,6 @@ def estimate_alpha(path, table, conf=0.95):
     dl = table.interp("dlam", a_hat)
     sig = max(table.interp("sigma_sq", a_hat), 0.0)
     se = math.sqrt(sig) / abs(dl) / math.sqrt(path.n)
-    z = float(norm.ppf(0.5 * (1.0 + conf)))
     return AlphaEstimate(alpha_hat=a_hat, stderr=se, ci_low=a_hat - z * se,
                          ci_high=a_hat + z * se, statistic=stat, n=path.n,
                          confidence=conf, clamped=clamped)

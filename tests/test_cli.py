@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +24,17 @@ def table_dir(tmp_path, variance_table, stable_table):
 
 def run(*argv):
     return main(list(argv))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # the estimators' interval quantile comes from the standard library;
+    # scipy.stats alone would add most of a second to every CLI start
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ri.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, roughir.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSimulate:

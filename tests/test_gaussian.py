@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -60,6 +61,18 @@ class TestRho:
             ri.rho_p(1, 1.0)
         with pytest.raises(DomainError):
             ri.rho_p(3, 0.5)
+
+
+@pytest.mark.parametrize("H", [[0.3], np.array([0.3])], ids=["list", "array"])
+@pytest.mark.parametrize("call", [
+    lambda H: ri.Lambda_p(2, H),
+    lambda H: ri.rho_p(1, H),
+    lambda H: ri.s2_sq(H, 0.1),
+    lambda H: ri.FbmSampler(64, H),
+], ids=["Lambda_p", "rho_p", "s2_sq", "FbmSampler"])
+def test_non_scalar_hurst_domain_error(call, H):
+    with pytest.raises(DomainError, match="scalar"):
+        call(H)
 
 
 class TestLambdaP:
@@ -240,3 +253,23 @@ class TestEstimateH:
     def test_too_short(self, variance_table):
         with pytest.raises(SizeError):
             ri.estimate_H(ri.SampledPath(np.arange(10.0) ** 1.5), variance_table)
+
+
+@pytest.mark.parametrize("conf", [0.9, 0.95])
+@pytest.mark.parametrize("method", ["hurst", "alpha"])
+def test_interval_is_standard_library_normal(request, method, conf):
+    """Both estimators give point -/+ z * stderr with z from NormalDist, bit
+    for bit.  A quantile a few ulp off shows in the last bit of some bounds,
+    so the check runs over enough paths to see that."""
+    z = NormalDist().inv_cdf(0.5 + conf / 2)
+    table = request.getfixturevalue("variance_table" if method == "hurst" else "stable_table")
+    for seed in range(40):
+        if method == "hurst":
+            est = ri.estimate_H(ri.sim_fbm(1024, 0.5, seed=seed), table, conf=conf)
+            point = est.h_hat
+        else:
+            est = ri.estimate_alpha(ri.sim_levy_stable(1024, 1.2, seed=seed), table, conf=conf)
+            point = est.alpha_hat
+        half = z * est.stderr
+        assert abs((est.ci_high - point) - half) <= math.ulp(est.ci_high)
+        assert (est.ci_low, est.ci_high) == (point - half, point + half)

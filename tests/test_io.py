@@ -82,6 +82,38 @@ class TestPathFiles:
         with pytest.raises(ParseError, match="n=5"):
             ri.read_path(str(fn))
 
+    def test_header_count_mismatch_precedes_time_check(self, tmp_path):
+        fn = tmp_path / "bad.tsv"
+        fn.write_text("# n=5\n0\t0.0\n0.3\t1.0\n")
+        with pytest.raises(ParseError, match="n=5"):
+            ri.read_path(str(fn))
+
+    def test_off_grid_times_report_line(self, tmp_path):
+        fn = tmp_path / "bad.tsv"
+        fn.write_text("# kind=data\n0\t0.0\n0.1\t0.5\n0.7\t0.2\n5\t1.0\n")
+        with pytest.raises(ParseError, match="1/3") as exc:
+            ri.read_path(str(fn))
+        assert exc.value.line == 3
+
+    def test_reordered_rows_rejected(self, tmp_path):
+        p = ri.sim_brownian(8, seed=2)
+        fn = tmp_path / "p.tsv"
+        ri.write_path(p, str(fn))
+        lines = fn.read_text().splitlines()
+        lines[4], lines[5] = lines[5], lines[4]  # rows j=2 and j=3
+        fn.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            ri.read_path(str(fn))
+        assert exc.value.line == 5
+
+    @pytest.mark.parametrize("n", [1000, 2**15 + 1])
+    def test_written_times_load(self, tmp_path, n):
+        p = ri.sim_brownian(n, seed=n)
+        fn = tmp_path / "p.tsv"
+        ri.write_path(p, str(fn))
+        q, _ = ri.read_path(str(fn))
+        assert q.values.tobytes() == p.values.tobytes()
+
 
 class TestAtomicWrite:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

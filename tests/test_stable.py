@@ -51,33 +51,33 @@ class TestSampler:
 
 class TestLambdaTilde:
     def test_gaussian_anchor(self):
-        est, se = ri.lambda_tilde(2.0, reps=200_000, seed=11)
+        t = ri.build_stable_table(reps=200_000, seed=11, alpha_grid=[1.9, 2.0])
+        est, se = t.lam_raw[-1], t.lam_stderr[-1]
         assert abs(est - ri.lam(0.0)) <= 3 * se  # 0.7206... ~ "0.72"
 
     def test_bounds(self):
-        for alpha in (0.3, 0.9, 1.7):
-            est, _ = ri.lambda_tilde(alpha, reps=20_000, seed=12)
-            assert 0.5 <= est <= 1.0
+        t = ri.build_stable_table(reps=20_000, seed=12, alpha_grid=[0.3, 0.9, 1.7])
+        assert np.all((0.5 <= t.lam_raw) & (t.lam_raw <= 1.0))
 
     def test_decreasing_in_alpha(self):
-        lo, se_lo = ri.lambda_tilde(0.5, reps=100_000, seed=13)
-        hi, se_hi = ri.lambda_tilde(1.5, reps=100_000, seed=13)
+        t = ri.build_stable_table(reps=100_000, seed=13, alpha_grid=[0.5, 1.5])
+        (lo, hi), (se_lo, se_hi) = t.lam_raw, t.lam_stderr
         assert lo - hi > 3 * math.hypot(se_lo, se_hi)
 
     def test_min_reps(self):
-        with pytest.raises(SizeError):
-            ri.lambda_tilde(1.0, reps=100, seed=1)
-        for reps in (0, 39):  # the table build shares the floor
+        for reps in (0, 39, 100, 9_999):
             with pytest.raises(SizeError):
                 ri.build_stable_table(reps=reps, seed=1)
 
 
 class TestSigmaTildeSq:
     def test_nonnegative_within_noise(self):
-        for alpha in (0.6, 1.4, 2.0):
-            est, se = ri.sigma_tilde_sq(alpha, reps=50_000, seed=21)
+        # the table clips a negative estimate to 0; est > 0 shows that no
+        # clip fired, so est is the raw Monte Carlo value
+        t = ri.build_stable_table(reps=50_000, seed=21, alpha_grid=[0.6, 1.4, 2.0])
+        for est, se in zip(t.sigma_sq, t.sigma_sq_stderr):
             assert est >= -3 * se
-            assert max(est, 0.0) >= 0.0
+            assert est > 0.0
 
     def test_matches_path_variance_at_alpha_two(self):
         # CLT route: n*var(r_tilde) over Brownian paths
@@ -87,13 +87,22 @@ class TestSigmaTildeSq:
             vals[i] = ri.r_tilde_2n(ri.sim_brownian(n, seed=3000 + i)).value
         nvar = n * vals.var(ddof=1)
         nvar_se = n * vals.var(ddof=1) * math.sqrt(2.0 / (reps - 1))
-        est, se = ri.sigma_tilde_sq(2.0, reps=400_000, seed=22)
+        t = ri.build_stable_table(reps=400_000, seed=22, alpha_grid=[1.95, 2.0])
+        est, se = t.sigma_sq[-1], t.sigma_sq_stderr[-1]
         assert abs(nvar - est) <= 3 * math.hypot(nvar_se, se)
 
     def test_seed_self_consistency(self):
-        a, ea = ri.sigma_tilde_sq(1.2, reps=100_000, seed=31)
-        b, eb = ri.sigma_tilde_sq(1.2, reps=100_000, seed=32)
-        assert abs(a - b) <= 3 * math.hypot(ea, eb)
+        a = ri.build_stable_table(reps=100_000, seed=31, alpha_grid=[1.2, 1.3])
+        b = ri.build_stable_table(reps=100_000, seed=32, alpha_grid=[1.2, 1.3])
+        assert abs(a.sigma_sq[0] - b.sigma_sq[0]) <= 3 * math.hypot(a.sigma_sq_stderr[0],
+                                                                  b.sigma_sq_stderr[0])
+
+
+class TestGrid:
+    @pytest.mark.parametrize("grid", [[1.0], [2.0, 1.0], [0.5, 1.0, 1.0, 2.0], [[1.0, 2.0]]])
+    def test_unusable_grid_rejected(self, grid):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            ri.build_stable_table(reps=10_000, seed=1, alpha_grid=grid)
 
 
 class TestTable:
