@@ -16,6 +16,7 @@ the statistic's variance.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -30,15 +31,28 @@ RHO2_AT_0 = -2.0 / 3.0
 RHO2_AT_1 = (18.0 * math.log(3) - 32.0 * math.log(2)) / (16.0 * math.log(2))
 
 
+def _correlation(r):
+    """r as a float, checked to be a real scalar in [-1, 1]."""
+    try:
+        r = float(r)
+    except (TypeError, ValueError):
+        raise DomainError(f"correlation must be a real scalar, got {r!r}") from None
+    if not -1.0 <= r <= 1.0:
+        raise DomainError(f"correlation must lie in [-1,1], got {r}")
+    return r
+
+
 def lam(r):
     """Limit ratio E psi(U1,U2) for standard normals with correlation r.
 
     Strictly increasing on [-1,1]; the endpoint values 0 and 1 are the
     analytic limits (the formula is 0*inf there).
     """
-    r = float(r)
-    if not -1.0 <= r <= 1.0:
-        raise DomainError(f"correlation must lie in [-1,1], got {r}")
+    return _lam(_correlation(r))
+
+
+def _lam(r):
+    """lam without the check on r (the inversion's bisection stays in (-1,1))."""
     if r == 1.0:
         return 1.0
     if r == -1.0:
@@ -48,10 +62,7 @@ def lam(r):
 
 def lam0(r):
     """Sign-persistence limit arccos(-r)/pi (zero-crossing statistics)."""
-    r = float(r)
-    if not -1.0 <= r <= 1.0:
-        raise DomainError(f"correlation must lie in [-1,1], got {r}")
-    return math.acos(-r) / math.pi
+    return math.acos(-_correlation(r)) / math.pi
 
 
 def _check_H(H):
@@ -106,7 +117,7 @@ def invert_Lambda2(v, tol=1e-10):
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if lam(_rho_p(2, mid)) < v:
+        if _lam(_rho_p(2, mid)) < v:
             lo = mid
         else:
             hi = mid
@@ -234,20 +245,26 @@ class VarianceTable:
         if np.nanmin(self.sigma1) < 0 or self.sigma2.min() < 0:
             raise DomainError("variance entries must be nonnegative")
 
+    @cached_property
+    def _curves(self):
+        """p -> (H grid, PCHIP of Sigma_p on it), each built on first use."""
+        return {}
+
     def sigma(self, p, H):
         """Monotone-cubic interpolated Sigma_p at H; no extrapolation."""
-        if p == 1:
-            mask = ~np.isnan(self.sigma1)
-            grid, vals = self.h_grid[mask], self.sigma1[mask]
-        elif p == 2:
-            grid, vals = self.h_grid, self.sigma2
-        else:
+        if p not in (1, 2):
             raise DomainError(f"p must be 1 or 2, got {p}")
+        if p not in self._curves:
+            vals = self.sigma1 if p == 1 else self.sigma2
+            known = ~np.isnan(vals)
+            self._curves[p] = (self.h_grid[known], PchipInterpolator(
+                self.h_grid[known], vals[known], extrapolate=False))
+        grid, interp = self._curves[p]
         if not grid[0] <= H <= grid[-1]:
             raise InterpolationError(
                 f"H={H:.4f} outside the tabulated grid [{grid[0]}, {grid[-1]}] for p={p}"
             )
-        return float(PchipInterpolator(grid, vals, extrapolate=False)(H))
+        return float(interp(H))
 
     def entry(self, p, H):
         """Exact grid entry (sigma, stderr) at H; H must be a grid point."""

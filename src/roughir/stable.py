@@ -14,6 +14,7 @@ monotone-smoothed, and inverted to estimate alpha.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -32,6 +33,10 @@ def sym_stable_from_uniform_exp(alpha, u, w):
     Deterministic in (u, w), which lets table builds reuse one set of
     uniforms across every alpha (common random numbers).
     """
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError):
+        raise DomainError(f"stable index must be a real scalar, got {alpha!r}") from None
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"stable index must lie in (0,2], got {alpha}")
     if alpha == 1.0:
@@ -123,6 +128,17 @@ class LambdaTildeTable:
         if self.lam.min() < 0.5 - 3.0 * self.lam_stderr.max() or self.lam.max() > 1.0:
             raise DomainError("limit-curve entries must lie in [1/2, 1]")
 
+    @cached_property
+    def _inverse(self):
+        """PCHIP of alpha against the strictly decreasing part of the curve
+        (flat PAVA segments keep their last point), built once per table;
+        None when fewer than two points remain."""
+        keep = np.concatenate([self.lam[:-1] > self.lam[1:], [True]])
+        if keep.sum() < 2:
+            return None
+        return PchipInterpolator(self.lam[keep][::-1], self.alpha_grid[keep][::-1],
+                                 extrapolate=False)
+
     def interp(self, column, alpha):
         vals = getattr(self, column)
         if not self.alpha_grid[0] <= alpha <= self.alpha_grid[-1]:
@@ -183,13 +199,9 @@ def invert_lambda_tilde(v, table):
             f"statistic value {v:.6f} outside the tabulated range [{lo:.6f}, {hi:.6f}]",
             low=lo, high=hi,
         )
-    # strictly decreasing interpolant: drop flat PAVA segments, keep last of each
-    lam, grid = table.lam, table.alpha_grid
-    keep = np.concatenate([lam[:-1] > lam[1:], [True]])
-    lam_k, grid_k = lam[keep], grid[keep]
-    if lam_k.size < 2:
+    inv = table._inverse
+    if inv is None:
         raise RangeError("limit curve is flat; cannot invert", low=lo, high=hi)
-    inv = PchipInterpolator(lam_k[::-1], grid_k[::-1], extrapolate=False)
     return float(inv(v))
 
 

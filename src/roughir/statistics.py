@@ -72,21 +72,79 @@ def psi_terms(x, y, kind):
     return t, int(zero.sum())
 
 
-def _summary(d, kind):
-    """Mean of psi/psi0 over consecutive pairs of the increment array d."""
-    terms, zero_count = psi_terms(d[:-1], d[1:], kind)
-    # compensated accumulation: fsum is exact, so results do not depend on
-    # summation order even for n ~ 1e6 terms
-    total = math.fsum(terms)
+# Exact summation by error-free extraction (Rump, Ogita & Oishi, "Accurate
+# floating-point summation, part I", SIAM J. Sci. Comput. 2008).  Terms are
+# split in blocks of _BLOCK; 2^_M >= _BLOCK + 2 makes every extracted part's
+# numpy sum exact in any order.
+_BLOCK = 1 << 15
+_M = 16
+_TINY = 2.0**-960  # smallest sigma; keeps sigma and 2^-53 sigma normal numbers
+
+
+def _exact_sum(t):
+    """Correctly rounded sum of t: math.fsum(t), bit for bit.
+
+    Works in place on t, whose terms must be finite and below 2^1000 in
+    magnitude.  With |t_i| <= 2^e and sigma = 2^(_M+e), the part
+    q = (t + sigma) - sigma of each term is a multiple of 2^-53 sigma and
+    at most 2^e, so the block's numpy sum of q is exact; t - q is exact and
+    at most 2^-53 sigma, which starts the next level.  A remainder still
+    left below _TINY goes to math.fsum term by term; otherwise math.fsum
+    only combines a few dozen exact partial sums.
+    """
+    kept = []
+    scratch = np.empty(min(t.size, _BLOCK))
+    for lo in range(0, t.size, _BLOCK):
+        b = t[lo:lo + _BLOCK]
+        q = scratch[:b.size]
+        top = float(np.abs(b, out=q).max())
+        if top == 0.0:
+            continue
+        sigma = math.ldexp(1.0, _M + math.frexp(top)[1])
+        while True:
+            np.add(b, sigma, out=q)
+            q -= sigma
+            b -= q
+            kept.append(float(q.sum()))
+            if not b.any():
+                break
+            sigma = math.ldexp(sigma, _M - 53)
+            if sigma < _TINY:
+                kept.extend(b[b != 0.0].tolist())
+                break
+    return math.fsum(kept)
+
+
+def _summary(values, coeffs, kind, window=slice(None)):
+    """Mean of psi/psi0 over consecutive pairs of the filtered increments
+    of values selected by window.
+
+    psi and psi0 are 0-homogeneous, so a path whose increments overflow is
+    scaled by a power of two that keeps every increment below 2^1022, and
+    so |x| + |y| and x + y finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = filtered_increment_array(values, coeffs)[window]
+        # d @ d is finite only if every |d_k| < 2^512, far from overflow in psi
+        if not math.isfinite(d @ d):
+            k = (math.frexp(float(np.abs(values).max()))[1]
+                 + math.frexp(float(np.abs(coeffs).sum()))[1] - 1022)
+            values = np.ldexp(values, -max(k, 0))
+            d = filtered_increment_array(values, coeffs)[window]
+        terms, zero_count = psi_terms(d[:-1], d[1:], kind)
+    # the correctly rounded sum does not depend on summation order, even
+    # for n ~ 1e6 terms
+    total = _exact_sum(terms)
     return IRSummary(value=min(total / terms.size, 1.0), terms=terms.size,
                      zero_over_zero=zero_count)
 
 
-def _increments(path, a):
-    """Filtered increments of path; needs n >= q+2 for a filter of length q+1."""
+def _filtered_summary(path, a, kind):
+    """_summary over all increments of path; needs n >= q+2 for a filter of
+    length q+1."""
     if path.n < a.q + 2:
         raise SizeError(f"need n >= {a.q + 2} for filter length {a.q + 1}, got n={path.n}")
-    return filtered_increment_array(path.values, a.coeffs)
+    return _summary(path.values, a.coeffs, kind)
 
 
 def r_pn(path, p):
@@ -95,17 +153,17 @@ def r_pn(path, p):
     (1/(n-p)) sum_{k=0}^{n-p-1} psi(d_k, d_{k+1}) where d_k is the p-order
     increment at k; needs p >= 1 and n >= p+2.
     """
-    return _summary(_increments(path, make_binomial_filter(p)), "psi")
+    return _filtered_summary(path, make_binomial_filter(p), "psi")
 
 
 def r_an(path, a):
     """Generalized-variation analogue of r_pn for a filter a of length q+1."""
-    return _summary(_increments(path, a), "psi")
+    return _filtered_summary(path, a, "psi")
 
 
 def r0_pn(path, p):
     """Zero-crossing variant: psi replaced by the sign indicator psi0."""
-    return _summary(_increments(path, make_binomial_filter(p)), "psi0")
+    return _filtered_summary(path, make_binomial_filter(p), "psi0")
 
 
 def r_local(path, t0, w):
@@ -127,17 +185,17 @@ def r_local(path, t0, w):
     k_hi = min(int(math.floor(n * t0 + half)), n - 3)
     if k_hi < k_lo:
         raise SizeError(f"empty window around t0={t0} with exponent {w}")
-    d = filtered_increment_array(path.values, make_binomial_filter(2).coeffs)
-    return _summary(d[k_lo : k_hi + 2], "psi")
+    return _summary(path.values, make_binomial_filter(2).coeffs, "psi",
+                    slice(k_lo, k_hi + 2))
 
 
-def _even_second_increments(path):
+def _even_pairs_summary(path, kind):
+    """_summary over the even-indexed second increments of path."""
     n = path.n
     if n < 6:
         raise SizeError(f"need n >= 6, got {n}")
     vals = path.values if n % 2 == 0 else path.values[:-1]  # odd n: drop last sample
-    d = filtered_increment_array(vals, make_binomial_filter(2).coeffs)
-    return d[::2]
+    return _summary(vals, make_binomial_filter(2).coeffs, kind, slice(None, None, 2))
 
 
 def r_tilde_2n(path):
@@ -147,9 +205,9 @@ def r_tilde_2n(path):
     pairs make the terms independent for independent-increment processes
     and symmetric regardless of skewness.  Odd n drops the final sample.
     """
-    return _summary(_even_second_increments(path), "psi")
+    return _even_pairs_summary(path, "psi")
 
 
 def r0_tilde_2n(path):
     """Zero-crossing variant of r_tilde_2n (psi0 over the disjoint pairs)."""
-    return _summary(_even_second_increments(path), "psi0")
+    return _even_pairs_summary(path, "psi0")

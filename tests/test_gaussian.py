@@ -3,6 +3,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import roughir as ri
 from roughir.errors import DomainError, InterpolationError, RangeError, SizeError
@@ -73,6 +74,13 @@ class TestRho:
 def test_non_scalar_hurst_domain_error(call, H):
     with pytest.raises(DomainError, match="scalar"):
         call(H)
+
+
+@pytest.mark.parametrize("r", [[0.3], np.array([0.3])], ids=["list", "array"])
+@pytest.mark.parametrize("call", [ri.lam, ri.lam0], ids=["lam", "lam0"])
+def test_non_scalar_correlation_domain_error(call, r):
+    with pytest.raises(DomainError, match="scalar"):
+        call(r)
 
 
 class TestLambdaP:
@@ -219,6 +227,15 @@ class TestVarianceTable:
         v = variance_table.sigma(2, 0.52)
         lo, hi = variance_table.entry(2, 0.5)[0], variance_table.entry(2, 0.55)[0]
         assert min(lo, hi) - 1e-9 <= v <= max(lo, hi) + 1e-9
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_cached_interpolant_matches_fresh_build(self, variance_table, p):
+        vals = variance_table.sigma1 if p == 1 else variance_table.sigma2
+        known = ~np.isnan(vals)
+        grid = variance_table.h_grid[known]
+        fresh = PchipInterpolator(grid, vals[known], extrapolate=False)
+        h = np.random.default_rng(11).uniform(grid[0], grid[-1], 50)
+        assert [variance_table.sigma(p, x) for x in h] == [float(fresh(x)) for x in h]
 
     def test_extrapolation_forbidden(self, variance_table):
         with pytest.raises(InterpolationError):

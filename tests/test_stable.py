@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.stats import cauchy, kstest
 
 import roughir as ri
@@ -47,6 +48,15 @@ class TestSampler:
 
     def test_scalar_draw(self):
         assert isinstance(ri.sample_sym_stable(1.5, np.random.default_rng(6)), float)
+
+    @pytest.mark.parametrize("call", [
+        lambda: ri.sample_sym_stable(np.array([1.2]), np.random.default_rng(7)),
+        lambda: ri.sample_sym_stable([1.2], np.random.default_rng(7), size=4),
+        lambda: ri.sim_levy_stable(64, [1.2], seed=1),
+    ], ids=["sample-array", "sample-list", "sim_levy_stable-list"])
+    def test_non_scalar_alpha_domain_error(self, call):
+        with pytest.raises(DomainError, match="scalar"):
+            call()
 
 
 class TestLambdaTilde:
@@ -126,6 +136,14 @@ class TestTable:
         with pytest.raises(RangeError) as exc:
             ri.invert_lambda_tilde(0.49, stable_table)
         assert exc.value.low == pytest.approx(float(stable_table.lam[-1]), abs=1e-12)
+
+    def test_cached_inverse_matches_fresh_build(self, stable_table):
+        lam, grid = stable_table.lam, stable_table.alpha_grid
+        keep = np.concatenate([lam[:-1] > lam[1:], [True]])
+        fresh = PchipInterpolator(lam[keep][::-1], grid[keep][::-1], extrapolate=False)
+        v = np.random.default_rng(12).uniform(lam[-1], lam[0], 50)
+        assert [ri.invert_lambda_tilde(x, stable_table) for x in v] == \
+            [float(fresh(x)) for x in v]
 
     def test_anchor_inverts_near_two(self, stable_table):
         # 0.72 sits at (or numerically just past) the alpha=2 end of the curve

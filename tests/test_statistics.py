@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import roughir as ri
 from roughir.errors import DomainError, SizeError
+from roughir.increments import p_increment_array
+from roughir.statistics import psi_terms
 
 
 def path_of(values):
@@ -244,6 +247,67 @@ class TestInvariances:
                       ri.r0_pn(path_of(vals), 1), ri.r_tilde_2n(path_of(vals))):
                 assert 0.0 <= s.value <= 1.0
                 assert s.zero_over_zero <= s.terms
+
+
+class TestExactMean:
+    """Every statistic is the correctly rounded mean: math.fsum's, bit for bit."""
+
+    @staticmethod
+    def fsum_mean(d):
+        terms, _ = psi_terms(d[:-1], d[1:], "psi")
+        return math.fsum(terms) / terms.size
+
+    def test_long_fbm_path(self):
+        path = ri.FbmSampler(2**20, 0.7).sample_path(np.random.default_rng(21))
+        expected = self.fsum_mean(p_increment_array(path.values, 2))
+        assert ri.r_pn(path, 2).value == expected
+
+    def test_long_stable_path(self):
+        path = ri.sim_levy_stable(2**20, 0.5, seed=22)
+        expected = self.fsum_mean(p_increment_array(path.values, 2)[::2])
+        assert ri.r_tilde_2n(path).value == expected
+
+
+class TestOverflowingIncrements:
+    """psi and psi0 are 0-homogeneous: a finite path whose increments
+    overflow gets the statistic of the path scaled by a power of two."""
+
+    STATS = {
+        "r_pn1": lambda p: ri.r_pn(p, 1),
+        "r_pn2": lambda p: ri.r_pn(p, 2),
+        "r_an": lambda p: ri.r_an(p, ri.make_binomial_filter(2)),
+        "r0_pn1": lambda p: ri.r0_pn(p, 1),
+        "r0_pn2": lambda p: ri.r0_pn(p, 2),
+        "r_local": lambda p: ri.r_local(p, 0.5, 0.9),
+        "r_tilde_2n": ri.r_tilde_2n,
+        "r0_tilde_2n": ri.r0_tilde_2n,
+    }
+    v = np.array([0, 1e308, -1e308, 1e308, 0, 3, -1e308])
+
+    def values(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return {name: stat(path_of(v)).value for name, stat in self.STATS.items()}
+
+    def test_known_values(self):
+        got = self.values(self.v)
+        assert got["r_pn1"] == 0.5333333333333333
+        assert got["r_pn2"] == got["r_an"] == 0.19642857142857142
+        assert got["r_tilde_2n"] == 1.0
+        assert got["r0_pn2"] == 0.0
+
+    @pytest.mark.parametrize("k", [1000, 1020])
+    def test_equals_scaled_path(self, k):
+        assert self.values(self.v) == self.values(np.ldexp(self.v, -k))
+
+    def test_sum_of_magnitudes_overflows(self):
+        # finite increments 1.5e308 and -1e308, but |x| + |y| overflows
+        w = np.array([0, 1.5e308, 0.5e308, 0.2e308, 0.0, 1.0, 0.5])
+        psi_stats = ("r_pn1", "r_pn2", "r_an", "r_local", "r_tilde_2n")
+        got, scaled = self.values(w), self.values(np.ldexp(w, -1000))
+        assert [got[s] for s in psi_stats] == [scaled[s] for s in psi_stats]
+        # psi terms 0.2, 1, 1, 1, 1/3; an overflowed |x| + |y| made the first 0
+        assert got["r_pn1"] == 0.7066666666666667
 
 
 class TestSmoothFunctionLimit:

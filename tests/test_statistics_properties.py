@@ -1,4 +1,7 @@
-"""Property test of the statistic family over arbitrary finite paths."""
+"""Property tests of the statistic family over arbitrary finite paths, and of
+the exact summation behind every statistic."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import roughir as ri
+from roughir.statistics import _exact_sum
 
 # magnitudes stay in [1e-6, 1e6] (or exactly 0) so that increments neither
 # overflow nor go subnormal, which keeps power-of-two scaling exact; the
@@ -28,3 +32,32 @@ def test_statistics_bounded_consistent_and_invariant(values, p, k):
     base = ri.r_pn(path, p)
     assert ri.r_pn(ri.SampledPath(-values), p) == base
     assert ri.r_pn(ri.SampledPath(values * 2.0**k), p) == base
+
+
+# psi terms lie in [0, 1]; exact 0 and 1 are common, and subnormals are the
+# hardest case for extraction
+_term = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0),
+                  st.floats(0.0, 2.0**-1022, allow_subnormal=True))
+
+
+def _same_float(a, b):
+    return a.hex() == b.hex()
+
+
+@settings(deadline=None)
+@given(t=arrays(np.float64, st.integers(0, 300), elements=_term))
+def test_exact_sum_is_fsum(t):
+    assert _same_float(_exact_sum(t.copy()), math.fsum(t))
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1),
+       size=st.sampled_from([0, 1, 2**15 - 1, 2**15, 2**15 + 1]))
+def test_exact_sum_is_fsum_at_block_edges(seed, size):
+    rng = np.random.default_rng(seed)
+    t = np.ldexp(rng.random(size), rng.integers(-1074, 1, size))  # subnormal to 1
+    pick = rng.integers(0, 4, size)
+    t[pick == 0] = 0.0
+    t[pick == 1] = 1.0
+    t[pick == 2] = rng.random(int((pick == 2).sum()))
+    assert _same_float(_exact_sum(t.copy()), math.fsum(t))
