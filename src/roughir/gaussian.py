@@ -14,13 +14,13 @@ combines the closed-form chain-rule prefactor with a Monte Carlo table of
 the statistic's variance.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, InterpolationError, RangeError, SizeError
 from .rng import derive_rng
@@ -213,6 +213,58 @@ def sigma_p_mc(p, H, reps=500, path_len=4096, seed=0):
 
 
 # ----------------------------------------------------------------------
+# Monotone cubic interpolation
+# ----------------------------------------------------------------------
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, shape-preserving (Moler's pchiptx)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x, y):
+    """Monotone cubic (PCHIP) interpolant through (x, y), x strictly increasing
+    with at least 2 points, as an evaluator of one scalar in [x[0], x[-1]].
+
+    It repeats scipy's PchipInterpolator operation for operation (Fritsch-
+    Butland slopes, one-sided end slopes, PPoly's evaluation order), so it
+    returns the same doubles without importing scipy.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d = np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])], inner,
+                            [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    coeffs = np.column_stack([y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h]).tolist()
+    knots = x.tolist()
+    last = len(knots) - 2
+
+    def at(v):
+        i = min(bisect.bisect_right(knots, v) - 1, last)
+        c0, c1, c2, c3 = coeffs[i]
+        s = float(v) - knots[i]
+        # the leading 0.0 is PPoly's accumulator: it turns a knot's -0.0 into 0.0
+        return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+
+    return at
+
+
+# ----------------------------------------------------------------------
 # Variance table + Hurst estimator
 # ----------------------------------------------------------------------
 
@@ -242,7 +294,7 @@ class VarianceTable:
             a = np.asarray(getattr(self, name), dtype=float)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        if np.nanmin(self.sigma1) < 0 or self.sigma2.min() < 0:
+        if (self.sigma1 < 0).any() or (self.sigma2 < 0).any():
             raise DomainError("variance entries must be nonnegative")
 
     @cached_property
@@ -257,14 +309,16 @@ class VarianceTable:
         if p not in self._curves:
             vals = self.sigma1 if p == 1 else self.sigma2
             known = ~np.isnan(vals)
-            self._curves[p] = (self.h_grid[known], PchipInterpolator(
-                self.h_grid[known], vals[known], extrapolate=False))
+            if known.sum() < 2:
+                raise InterpolationError(
+                    f"the table has {known.sum()} grid point(s) for p={p}; need 2 to interpolate")
+            self._curves[p] = (self.h_grid[known], _pchip(self.h_grid[known], vals[known]))
         grid, interp = self._curves[p]
         if not grid[0] <= H <= grid[-1]:
             raise InterpolationError(
                 f"H={H:.4f} outside the tabulated grid [{grid[0]}, {grid[-1]}] for p={p}"
             )
-        return float(interp(H))
+        return interp(H)
 
     def entry(self, p, H):
         """Exact grid entry (sigma, stderr) at H; H must be a grid point."""

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .errors import (DomainError, FactorizationError, ResolutionError,
                      SimulationError, SizeError)
@@ -111,6 +109,8 @@ def sim_brownian(n, seed, scale=1.0):
 
 def _q1(h):
     """Spectral normalization 2*int (1-cos x)|x|^(-2h-1) dx = pi/(Gamma(2h+1) sin(pi h))."""
+    import scipy.special  # local import: only mBm pays for it
+
     return np.pi / (scipy.special.gamma(2.0 * h + 1.0) * np.sin(np.pi * h))
 
 
@@ -175,6 +175,8 @@ class MbmSampler:
 
     @staticmethod
     def _factor(C):
+        import scipy.linalg  # local import: only mBm pays for it
+
         scale = float(np.mean(np.diag(C)))
         jitters = [0.0, 1e-12, 1e-10, 1e-8]
         for j in jitters:

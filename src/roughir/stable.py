@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, RangeError, SizeError
-from .gaussian import _normal_quantile
+from .gaussian import _normal_quantile, _pchip
 from .rng import derive_rng
 from .statistics import IRSummary, psi_terms, r_tilde_2n
 
@@ -136,8 +135,7 @@ class LambdaTildeTable:
         keep = np.concatenate([self.lam[:-1] > self.lam[1:], [True]])
         if keep.sum() < 2:
             return None
-        return PchipInterpolator(self.lam[keep][::-1], self.alpha_grid[keep][::-1],
-                                 extrapolate=False)
+        return _pchip(self.lam[keep][::-1], self.alpha_grid[keep][::-1])
 
     def interp(self, column, alpha):
         vals = getattr(self, column)
@@ -202,7 +200,7 @@ def invert_lambda_tilde(v, table):
     inv = table._inverse
     if inv is None:
         raise RangeError("limit curve is flat; cannot invert", low=lo, high=hi)
-    return float(inv(v))
+    return inv(v)
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,10 @@ def psi(x, y):
 
 
 def psi0(x, y):
-    """Sign-persistence indicator: 1 if x*y >= 0 else 0."""
-    return 1.0 if x * y >= 0.0 else 0.0
+    """Sign-persistence indicator: 1 if sign(x)*sign(y) >= 0 else 0.
+
+    The signs are compared, not x*y, which underflows to 0 for tiny x, y."""
+    return 1.0 if np.sign(x) * np.sign(y) >= 0.0 else 0.0
 
 
 def psi_terms(x, y, kind):
@@ -67,7 +69,7 @@ def psi_terms(x, y, kind):
             t = np.abs(x + y) / np.where(zero, 1.0, den)
         t[zero] = 1.0
     else:
-        t = (x * y >= 0.0).astype(float)
+        t = (np.sign(x) * np.sign(y) >= 0.0).astype(float)
         zero = (x == 0.0) & (y == 0.0)
     return t, int(zero.sum())
 

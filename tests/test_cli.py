@@ -37,6 +37,40 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.fixture(scope="module")
+def cold_inputs(tmp_path_factory):
+    """A path file and small prebuilt tables for fresh CLI processes."""
+    d = tmp_path_factory.mktemp("cold")
+    grid = np.round(np.arange(0.05, 0.9501, 0.05), 10)
+    s1 = np.where(grid < 0.75, 0.3, np.nan)
+    s2 = 0.2 + 0.1 * grid
+    ri.save_variance_table(ri.VarianceTable(grid, s1, 0.1 * s1, s2, 0.1 * s2, reps=100,
+                                            path_len=256, seed=0), str(d / "gaussian.tsv"))
+    ri.save_stable_table(ri.build_stable_table(reps=10_000, alpha_grid=[0.5, 1.0, 1.5, 2.0]),
+                         str(d / "stable.tsv"))
+    ri.write_path(ri.sim_fbm(1024, 0.6, 3), str(d / "fbm.tsv"), kind="fbm", seed=3)
+    return d
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--kind", "fbm", "--h", "0.7", "--n", "512", "--seed", "1", "--out", "{d}/sim.tsv"],
+    ["estimate", "--strict", "--method", "hurst", "--input", "{d}/fbm.tsv"],
+    ["estimate", "--strict", "--method", "alpha", "--input", "{d}/fbm.tsv"],
+    ["estimate", "--strict", "--method", "local", "--input", "{d}/fbm.tsv"],
+], ids=["simulate", "hurst", "alpha", "local"])
+def test_cli_commands_load_no_scipy(cold_inputs, command):
+    # a fresh process pays for every import; none of these commands needs
+    # scipy, which would add most of a second to each start
+    argv = ["--table-dir", str(cold_inputs)] + [a.format(d=cold_inputs) for a in command]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ri.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import json, sys; from roughir.cli import main; code = main(sys.argv[1:]); "
+            "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
+
+
 class TestSimulate:
     def test_fbm_file_deterministic(self, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"

@@ -1,13 +1,16 @@
 import math
+import warnings
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import roughir as ri
 from roughir.errors import DomainError, InterpolationError, RangeError, SizeError
-from roughir.gaussian import RHO2_AT_0, RHO2_AT_1
+from roughir.gaussian import RHO2_AT_0, RHO2_AT_1, _pchip
 
 from .oracles import epsi_gauss_quad, p_increment_cov_quadratic_form, sigma_p_lag_sum
 
@@ -242,6 +245,41 @@ class TestVarianceTable:
             variance_table.sigma(2, 0.99)
         with pytest.raises(InterpolationError):
             variance_table.sigma(1, 0.9)  # p=1 grid stops below 3/4
+
+    @pytest.mark.parametrize("grid, sigma1", [([0.8, 0.9], [np.nan, np.nan]),
+                                              ([0.7, 0.8], [0.3, np.nan])])
+    def test_missing_curve_is_interpolation_error(self, grid, sigma1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = ri.VarianceTable(np.array(grid), np.array(sigma1), np.array(sigma1),
+                                     np.array([0.2, 0.3]), np.array([0.01, 0.01]),
+                                     reps=100, path_len=256, seed=0)
+        with pytest.raises(InterpolationError):
+            table.sigma(1, grid[0])
+        assert table.sigma(2, grid[-1]) == 0.3
+
+
+# PCHIP data: flat runs, sign changes, repeats and -0.0 come from the small set
+_knot_value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                        st.floats(-1e3, 1e3))
+
+
+@settings(deadline=None)
+@given(x0=st.floats(-10, 10),
+       gaps=st.lists(st.floats(1e-3, 10), min_size=1, max_size=24),
+       values=st.lists(_knot_value, min_size=25, max_size=25),
+       negative_zero_at=st.integers(0, 24),
+       inside=st.lists(st.floats(0, 1), max_size=20))
+def test_pchip_is_scipy_pchip(x0, gaps, values, negative_zero_at, inside):
+    x = x0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    y = np.array(values[:x.size])
+    y[negative_zero_at % x.size] = -0.0
+    points = [float(v) for v in x] + [x[0] + u * (x[-1] - x[0]) for u in inside]
+    points = [min(v, x[-1]) for v in points]
+    with np.errstate(over="ignore"):  # scipy warns when a tiny slope overflows 1/m
+        scipy_pchip = PchipInterpolator(x, y, extrapolate=False)
+    ours = _pchip(x, y)
+    assert [ours(v).hex() for v in points] == [float(scipy_pchip(v)).hex() for v in points]
 
 
 class TestEstimateH:

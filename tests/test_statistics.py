@@ -39,6 +39,12 @@ class TestPsi:
         assert ri.psi0(2.0, -3.0) == 0.0
         assert ri.psi0(0.0, -5.0) == 1.0  # product is 0, hence >= 0
 
+    def test_psi0_tiny_opposite_signs(self):
+        # x*y underflows to -0.0 here; the signs still differ
+        assert ri.psi0(1e-200, -1e-200) == 0.0
+        t, zero = psi_terms(np.array([1e-200]), np.array([-1e-200]), "psi0")
+        assert t.tolist() == [0.0] and zero == 0
+
 
 class TestRpn:
     def test_monotone_path_is_one(self):
@@ -121,6 +127,11 @@ class TestR0pn:
             total = s.value * s.terms
             assert total == pytest.approx(round(total), abs=1e-9)
             assert 0.0 <= s.value <= 1.0
+
+    def test_tiny_increments_keep_their_signs(self):
+        vals = np.array([0, 1e-200, 0, 1e-200, 0, 2e-200, 0])
+        assert ri.r0_pn(path_of(vals), 1).value == 0.0
+        assert ri.r0_pn(path_of(np.ldexp(vals, 600)), 1).value == 0.0
 
 
 class TestRLocal:

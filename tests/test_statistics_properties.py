@@ -34,6 +34,16 @@ def test_statistics_bounded_consistent_and_invariant(values, p, k):
     assert ri.r_pn(ri.SampledPath(values * 2.0**k), p) == base
 
 
+@settings(deadline=None)
+@given(values=arrays(np.float64, st.integers(7, 60), elements=_value), p=st.integers(1, 4))
+def test_sign_statistics_survive_tiny_scale(values, p):
+    # at 2^-600 products of increments underflow, but their signs are intact
+    tiny = ri.SampledPath(np.ldexp(values, -600))
+    path = ri.SampledPath(values)
+    assert ri.r0_pn(tiny, p) == ri.r0_pn(path, p)
+    assert ri.r0_tilde_2n(tiny) == ri.r0_tilde_2n(path)
+
+
 # psi terms lie in [0, 1]; exact 0 and 1 are common, and subnormals are the
 # hardest case for extraction
 _term = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0),
