@@ -127,11 +127,12 @@ def exp_clt_fbm(variance_table, h_values=(0.3, 0.5, 0.7), p=2, n=4096,
         for i in range(reps):
             rng = derive_rng(seed, "experiment", 1, hi, i)
             path = sampler.sample_path(rng)
-            stat = r_pn(path, p)
-            vals[i] = stat.value
-            if p == 2:
+            if p == 2:  # estimate_H computes r_pn(path, 2) itself
                 est = estimate_H(path, variance_table, conf=conf)
+                vals[i] = est.statistic.value
                 covered += est.ci_low <= H <= est.ci_high
+            else:
+                vals[i] = r_pn(path, p).value
         rep.replications[f"R{p}_H{H}"] = vals.tolist()
         target = Lambda_p(p, H)
         se = _se(vals)

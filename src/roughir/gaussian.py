@@ -99,9 +99,10 @@ def Lambda_p(p, H):
 # open range attained by Lambda_2 on H in (0,1)
 LAMBDA2_LOW = lam(RHO2_AT_0)
 LAMBDA2_HIGH = lam(RHO2_AT_1)
+INVERT_TOL = 1e-10  # invert_Lambda2 stops once its H bracket is this narrow
 
 
-def invert_Lambda2(v, tol=1e-10):
+def invert_Lambda2(v):
     """Unique H in (0,1) with Lambda_2(H) = v, by bisection.
 
     Raises RangeError (carrying the attainable interval) when v is not
@@ -115,7 +116,7 @@ def invert_Lambda2(v, tol=1e-10):
             low=LAMBDA2_LOW, high=LAMBDA2_HIGH,
         )
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > INVERT_TOL:
         mid = 0.5 * (lo + hi)
         if _lam(_rho_p(2, mid)) < v:
             lo = mid

@@ -9,6 +9,7 @@ which annihilates polynomials of degree < p.  A filter a = (a_0..a_q) with
 p vanishing moments generalizes this to sum_l a_l f((j+l)/n).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -87,6 +88,7 @@ class Filter:
         object.__setattr__(self, "q", a.size - 1)
 
 
+@functools.lru_cache(maxsize=None, typed=True)  # one shared Filter per order; 2.0 misses 2
 def make_binomial_filter(p):
     """Filter (-1)^(p-l) C(p,l), l=0..p: the plain p-order difference."""
     if p < 1:
@@ -96,29 +98,32 @@ def make_binomial_filter(p):
 
 
 def filtered_increment(path, a, j):
-    """sum_l a_l f((j+l)/n) for a single index j, 0 <= j <= n-q."""
+    """sum_l a_l f((j+l)/n) for one j, 0 <= j <= n-q: the array kernel's value."""
     n, q = path.n, a.q
     if not 0 <= j <= n - q:
         raise IndexError(f"filtered increment index {j} outside [0, {n - q}]")
-    return float(np.dot(a.coeffs, path.values[j : j + q + 1]))
+    return float(filtered_increment_array(path.values[j : j + q + 1], a.coeffs)[0])
 
 
 def p_increment(path, p, j):
     """p-order increment at index j: the alternating binomial sum."""
-    if p < 1:
-        raise DomainError(f"increment order must be >= 1, got {p}")
     if p >= path.n:
         raise SizeError(f"order p={p} too large for grid size n={path.n}")
     return filtered_increment(path, make_binomial_filter(p), j)
 
 
 def filtered_increment_array(values, coeffs):
-    """All filtered increments of a value array in one pass (indices 0..n-q)."""
+    """All filtered increments of a value array (indices 0..n-q): the one
+    increment kernel, a_0 v_j + a_1 v_(j+1) + ... + a_q v_(j+q) summed left
+    to right over shifted slices, so any one increment matches it exactly."""
     q = len(coeffs) - 1
     if values.size <= q:
         raise SizeError(f"need more than {q} samples, got {values.size}")
-    win = np.lib.stride_tricks.sliding_window_view(values, q + 1)
-    return win @ coeffs
+    m = values.size - q
+    d = coeffs[0] * values[:m]
+    for l in range(1, q + 1):
+        d += coeffs[l] * values[l : l + m]
+    return d
 
 
 def p_increment_array(values, p):

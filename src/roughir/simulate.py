@@ -24,6 +24,7 @@ from .stable import sample_sym_stable
 
 MBM_DEFAULT_MAX_N = 8192  # dense factorization is O(n^3); cap unless overridden
 _MBM_COV_BLOCK = 512  # rows per block in mbm_covariance
+_EULER_CHUNK = 4096  # fine Euler steps drawn per replication at a time
 
 
 # ----------------------------------------------------------------------
@@ -248,24 +249,23 @@ def multiscale_density(breaks, sigmas, hursts):
     return f
 
 
-def sim_multiscale_fbm(n, breaks, sigmas, hursts, seed, cutoff=None,
-                       freq_points=2**20):
+def sim_multiscale_fbm(n, breaks, sigmas, hursts, seed, freq_points=2**20):
     """Stationary-increment Gaussian path from the piecewise spectral density.
 
     Discretizes X_t = int (e^(i t xi) - 1) sqrt(f(xi)) W(dxi) on a midpoint
-    frequency grid up to `cutoff` (default 64*pi*n) with `freq_points`
-    cells, folding the Riemann sum into one FFT.
+    frequency grid up to 64*pi*n with `freq_points` cells, folding the
+    Riemann sum into one FFT.
     """
     f = multiscale_density(breaks, sigmas, hursts)
-    omega = 64.0 * math.pi * n if cutoff is None else float(cutoff)
-    if omega <= 0 or freq_points < 2:
-        raise DomainError("cutoff and freq_points must be positive")
+    omega = 64.0 * math.pi * n
+    if freq_points < 2:
+        raise DomainError(f"freq_points must be at least 2, got {freq_points}")
     dxi = omega / freq_points
     nfft = int(round(2.0 * math.pi * n / dxi))
     if nfft < n + 1:
         raise ResolutionError(
             f"spectral grid too coarse for n={n}: fold length {nfft} < n+1; "
-            "increase freq_points or decrease cutoff"
+            "increase freq_points"
         )
     dxi = 2.0 * math.pi * n / nfft  # make the fold exact
     m = int(math.ceil(omega / dxi))
@@ -291,7 +291,7 @@ def sim_multiscale_fbm(n, breaks, sigmas, hursts, seed, cutoff=None,
 # Ito diffusions (Euler-Maruyama)
 # ----------------------------------------------------------------------
 
-def _euler_paths(n, a_func, b_func, x0, refine, rngs, chunk=4096):
+def _euler_paths(n, a_func, b_func, x0, refine, rngs):
     """Euler-Maruyama on the fine grid 1/(n*refine), subsampled to j/n.
 
     rngs is one Generator per replication; increments are consumed in
@@ -308,7 +308,7 @@ def _euler_paths(n, a_func, b_func, x0, refine, rngs, chunk=4096):
     # blow-ups are detected below, once per chunk, instead of warned per step
     with np.errstate(over="ignore", invalid="ignore"):
         while k < steps:
-            k0, c = k, min(chunk, steps - k)
+            k0, c = k, min(_EULER_CHUNK, steps - k)
             z = np.empty((reps, c))
             for i, g in enumerate(rngs):
                 z[i] = g.standard_normal(c)
@@ -393,15 +393,14 @@ def _window_jump_sums(rng, n, rate, draw_sizes):
 
 
 def sim_levy_compound(n, a_weight=0.0, seed=0, *, rate=0.0, jump_scale=1.0,
-                      jump_dist="normal", stable_alpha=None, stable_c=1.0,
-                      stable_cutoff=1e-4, stable_max=1.0):
+                      stable_alpha=None, stable_c=1.0, stable_cutoff=1e-4):
     """Brownian part + compound-Poisson jumps + truncated small-jump tail.
 
-    a_weight scales an independent Brownian component.  rate, jump_scale
-    and jump_dist (normal | laplace | uniform) give a compound-Poisson part
-    with symmetric jumps.  stable_alpha adds power-law small jumps with tail
-    mass K(u) = stable_c * (u^-alpha - stable_max^-alpha) truncated below
-    stable_cutoff; no drift compensation is needed for symmetric jumps.
+    a_weight scales an independent Brownian component.  rate and jump_scale
+    give a compound-Poisson part with N(0, jump_scale^2) jumps.  stable_alpha
+    adds power-law small jumps of size in [stable_cutoff, 1] with tail mass
+    K(u) = stable_c * (u^-alpha - 1); no drift compensation is needed for
+    symmetric jumps.
     """
     if a_weight < 0:
         raise DomainError(f"Brownian weight must be >= 0, got {a_weight}")
@@ -409,13 +408,11 @@ def sim_levy_compound(n, a_weight=0.0, seed=0, *, rate=0.0, jump_scale=1.0,
         raise DomainError(f"jump rate must be >= 0, got {rate}")
     if jump_scale <= 0:
         raise DomainError(f"jump scale must be positive, got {jump_scale}")
-    if jump_dist not in ("normal", "laplace", "uniform"):
-        raise DomainError(f"unknown jump distribution {jump_dist!r}")
     if stable_alpha is not None:
         if not 0.0 < stable_alpha < 2.0:
             raise DomainError(f"small-jump index must lie in (0,2), got {stable_alpha}")
-        if not 0.0 < stable_cutoff < stable_max:
-            raise DomainError("need 0 < stable_cutoff < stable_max")
+        if not 0.0 < stable_cutoff < 1.0:
+            raise DomainError("need 0 < stable_cutoff < 1")
         if stable_c <= 0:
             raise DomainError(f"small-jump mass must be positive, got {stable_c}")
     rng = derive_rng(seed, "levy_compound")
@@ -425,22 +422,17 @@ def sim_levy_compound(n, a_weight=0.0, seed=0, *, rate=0.0, jump_scale=1.0,
         inc += rng.standard_normal(n) * (a_weight / math.sqrt(n))
 
     if rate > 0:
-        def draw_big(rng, m):
-            if jump_dist == "normal":
-                return rng.standard_normal(m) * jump_scale
-            if jump_dist == "laplace":
-                return rng.laplace(0.0, jump_scale, m)
-            return rng.uniform(-jump_scale, jump_scale, m)
-        inc += _window_jump_sums(rng, n, rate, draw_big)
+        inc += _window_jump_sums(rng, n, rate,
+                                 lambda rng, m: rng.standard_normal(m) * jump_scale)
 
     if stable_alpha is not None:
-        al, eps, umax = stable_alpha, stable_cutoff, stable_max
-        lam_eps = stable_c * (eps ** (-al) - umax ** (-al))
+        al, eps = stable_alpha, stable_cutoff
+        lam_eps = stable_c * (eps ** (-al) - 1.0)
 
         def draw_small(rng, m):
-            # inverse-transform for tail K(u) ~ u^-alpha on [eps, umax]
+            # inverse-transform for tail K(u) ~ u^-alpha on [eps, 1]
             v = rng.uniform(0.0, 1.0, m)
-            mag = ((1.0 - v) * eps ** (-al) + v * umax ** (-al)) ** (-1.0 / al)
+            mag = ((1.0 - v) * eps ** (-al) + v) ** (-1.0 / al)
             sign = rng.integers(0, 2, m) * 2.0 - 1.0
             return sign * mag
 

@@ -3,7 +3,8 @@
 Each oracle recomputes a target quantity by a route disjoint from the
 library implementation: plane quadrature of the Gaussian expectation,
 quadratic forms of the raw covariance, truncated lag sums of empirical
-covariances, and direct quadrature of spectral densities.
+covariances, direct quadrature of spectral densities, and plain Python
+float loops for filtered increments.
 """
 
 import math
@@ -36,6 +37,14 @@ def epsi_gauss_quad(r):
         v, _ = quad(angular, a, b, limit=200, epsabs=1e-12, epsrel=1e-12)
         total += v
     return c * total
+
+
+def filtered_increment_ref(values, coeffs, j):
+    """sum_l a_l v[j+l] in Python floats, summed left to right."""
+    total = 0.0
+    for l, a in enumerate(coeffs):
+        total += float(a) * float(values[j + l])
+    return total
 
 
 def fbm_cov(H, s, t):

@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import roughir as ri
 from roughir.errors import DomainError, SizeError
+
+from .oracles import filtered_increment_ref
+
+# binomial orders 1-4 plus two non-binomial filters with two vanishing moments
+FILTERS = [ri.make_binomial_filter(p) for p in (1, 2, 3, 4)] + [
+    ri.Filter([0.5, -1.0, 0.5], p=2), ri.Filter([1.0, -1.0, -1.0, 1.0], p=2)]
+
+# signed values from 2^-400 to 2^400, zeros included: the terms of one
+# increment differ by hundreds of orders of magnitude
+_spread = st.one_of(st.just(0.0), st.builds(lambda m, e: m * 2.0**e,
+                                            st.floats(-2.0, 2.0), st.integers(-400, 400)))
 
 
 def grid_path(f, n):
@@ -78,6 +92,14 @@ class TestFilter:
         with pytest.raises(DomainError):
             ri.make_binomial_filter(0)
 
+    def test_binomial_filter_shared_and_read_only(self):
+        f = ri.make_binomial_filter(2)
+        assert ri.make_binomial_filter(2) is f
+        with pytest.raises(ValueError):
+            f.coeffs[0] = 5.0
+        with pytest.raises(TypeError):
+            ri.make_binomial_filter(2.0)  # not served from the int order's entry
+
     def test_moment_validation(self):
         # sum of coefficients is not zero
         with pytest.raises(DomainError, match="moment 0"):
@@ -142,8 +164,21 @@ class TestFilteredIncrement:
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(11)
         p = ri.SampledPath(rng.standard_normal(20))
-        a = ri.make_binomial_filter(2)
-        d = ri.filtered_increment_array(p.values, a.coeffs)
-        assert d.shape == (p.n - 1,)
-        for j in range(d.size):
-            assert d[j] == pytest.approx(ri.filtered_increment(p, a, j), rel=1e-14)
+        for a in FILTERS:
+            d = ri.filtered_increment_array(p.values, a.coeffs)
+            assert d.shape == (p.n - a.q + 1,)
+            for j in range(d.size):
+                assert d[j] == ri.filtered_increment(p, a, j)
+
+
+@settings(deadline=None)
+@given(values=arrays(np.float64, st.integers(5, 40), elements=_spread),
+       a=st.sampled_from(FILTERS))
+def test_increments_equal_left_to_right_sum(values, a):
+    path = ri.SampledPath(values)
+    d = ri.filtered_increment_array(path.values, a.coeffs)
+    assert d.size == path.n - a.q + 1
+    for j in range(d.size):
+        want = filtered_increment_ref(path.values, a.coeffs, j)
+        assert d[j] == want
+        assert ri.filtered_increment(path, a, j) == want

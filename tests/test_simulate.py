@@ -170,7 +170,7 @@ class TestMultiscale:
             ri.sim_multiscale_fbm(64, [], [1.0], [-0.1], seed=1)  # H_last <= 0
 
     def test_resolution_guard(self):
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ResolutionError, match="increase freq_points$"):
             ri.sim_multiscale_fbm(4096, [], [1.0], [0.5], seed=1, freq_points=256)
 
 
@@ -270,6 +270,8 @@ class TestLevyCompound:
             ri.sim_levy_compound(64, seed=1, stable_alpha=2.5)
         with pytest.raises(DomainError):
             ri.sim_levy_compound(64, -0.5, seed=1, rate=1.0)
+        with pytest.raises(DomainError, match="stable_cutoff < 1"):
+            ri.sim_levy_compound(64, seed=1, stable_alpha=1.2, stable_cutoff=1.0)
 
 
 class TestTrend:

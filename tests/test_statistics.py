@@ -330,3 +330,38 @@ class TestSmoothFunctionLimit:
         assert vals[1] >= 0.99
         assert vals[1] >= vals[0] - 1e-3
         assert vals[2] >= vals[1] - 1e-3
+
+
+class TestPinnedValues:
+    """Every statistic's exact value on a seeded fBm and a seeded stable path
+    at n=4096, so a change to the increments, the psi terms or the sum that
+    moves any last bit shows here."""
+
+    PATHS = {"fbm": lambda: ri.sim_fbm(4096, 0.7, seed=20260),
+             "stable": lambda: ri.sim_levy_stable(4096, 1.5, seed=20261)}
+    STATS = {
+        "r_pn1": lambda p: ri.r_pn(p, 1),
+        "r_pn2": lambda p: ri.r_pn(p, 2),
+        "r_pn3": lambda p: ri.r_pn(p, 3),
+        "r0_pn2": lambda p: ri.r0_pn(p, 2),
+        "r_an": lambda p: ri.r_an(p, ri.Filter([1.0, -1.0, -1.0, 1.0], p=2)),
+        "r_local": lambda p: ri.r_local(p, 0.5, 0.6),
+        "r_tilde_2n": ri.r_tilde_2n,
+        "r0_tilde_2n": ri.r0_tilde_2n,
+    }
+    EXPECTED = {
+        "fbm": {"r_pn1": "0x1.8faa894ebfaf1p-1", "r_pn2": "0x1.3c2e6ef773908p-1",
+                "r_pn3": "0x1.17667fc93760dp-1", "r0_pn2": "0x1.81f03e07c0f82p-2",
+                "r_an": "0x1.7ca3e255b896cp-1", "r_local": "0x1.3a94432763263p-1",
+                "r_tilde_2n": "0x1.68416e1dcb5dcp-1", "r0_tilde_2n": "0x1.de3bc778ef1dep-2"},
+        "stable": {"r_pn1": "0x1.7b02e1bb35edap-1", "r_pn2": "0x1.2d51e11cedef3p-1",
+                   "r_pn3": "0x1.10c2919a735d2p-1", "r0_pn2": "0x1.51aa3546a8d52p-2",
+                   "r_an": "0x1.7d7731ad6b2c2p-1", "r_local": "0x1.28659bf8d8cecp-1",
+                   "r_tilde_2n": "0x1.7b3d2f7ef7779p-1", "r0_tilde_2n": "0x1.00600c0180300p-1"},
+    }
+
+    @pytest.mark.parametrize("kind", ["fbm", "stable"])
+    def test_hex_values(self, kind):
+        path = self.PATHS[kind]()
+        got = {name: stat(path).value.hex() for name, stat in self.STATS.items()}
+        assert got == self.EXPECTED[kind]
