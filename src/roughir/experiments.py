@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, SizeError
 from .gaussian import Lambda_p, estimate_H, invert_Lambda2, lam
 from .increments import SampledPath
-from .pathio import _atomic_write
+from .pathio import _atomic_write, write_rows
 from .rng import derive_rng
 from .simulate import (DIFFUSION_PRESETS, FbmSampler, MbmSampler,
                        _path_from_increments, apply_trend, sim_diffusion_batch)
@@ -86,17 +86,11 @@ class ExperimentReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def write(self, filename):
-        """JSON report plus a delimited per-replication appendix."""
+        """JSON report plus a per-replication appendix, one column per series."""
         _atomic_write(filename, self.to_json() + "\n")
         if self.replications:
-            cols = list(self.replications)
-            nrows = max(len(v) for v in self.replications.values())
-            lines = ["\t".join(cols)]
-            for i in range(nrows):
-                row = [f"{self.replications[c][i]:.17g}" if i < len(self.replications[c])
-                       else "" for c in cols]
-                lines.append("\t".join(row))
-            _atomic_write(filename + ".reps.tsv", "\n".join(lines) + "\n")
+            write_rows(filename + ".reps.tsv", {}, zip(*self.replications.values()),
+                       header=list(self.replications))
 
     def summary_lines(self):
         mark = {True: "PASS", False: "FAIL"}

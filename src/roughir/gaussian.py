@@ -23,7 +23,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DomainError, InterpolationError, RangeError, SizeError
-from .rng import derive_rng
+from .rng import derive_rng, derive_seed
 from .statistics import IRSummary, r_pn
 
 # rho_2 has a removable 0/0 at H=1; its one-sided limits (L'Hopital at 1):
@@ -183,6 +183,20 @@ def _var_stderr(x):
     return float(v), float(math.sqrt(max(var_of_var, 0.0)))
 
 
+def _sigma1_exists(H):
+    """Whether n*var of the first-order statistic converges at H (H < 3/4)."""
+    return H < 0.75
+
+
+def _check_sigma_p(p, H):
+    """DomainError unless n*var of the p-order statistic has a limit at H."""
+    if p not in (1, 2):
+        raise DomainError(f"p must be 1 or 2, got {p}")
+    if p == 1 and not _sigma1_exists(H):
+        raise DomainError(f"n*var of the first-order statistic diverges for H >= 3/4 "
+                          f"(got H={H}); use p=2")
+
+
 def sigma_p_mc(p, H, reps=500, path_len=4096, seed=0):
     """Monte Carlo estimate of the normalized variance n*var(R^{p,n}).
 
@@ -195,13 +209,8 @@ def sigma_p_mc(p, H, reps=500, path_len=4096, seed=0):
     """
     from .simulate import FbmSampler  # local import: avoid a module cycle
 
-    if p not in (1, 2):
-        raise DomainError(f"p must be 1 or 2, got {p}")
     _check_H(H)
-    if p == 1 and H >= 0.75:
-        raise DomainError(
-            f"n*var of the first-order statistic diverges for H >= 3/4 (got H={H}); use p=2"
-        )
+    _check_sigma_p(p, H)
     if reps < 100:
         raise SizeError(f"need at least 100 replications, got {reps}")
     sampler = FbmSampler(path_len, H)
@@ -326,11 +335,10 @@ class VarianceTable:
         i = int(np.argmin(np.abs(self.h_grid - H)))
         if abs(self.h_grid[i] - H) > 1e-9:
             raise InterpolationError(f"H={H} is not a grid point of the table")
+        _check_sigma_p(p, self.h_grid[i])
         if p == 1:
             return float(self.sigma1[i]), float(self.sigma1_stderr[i])
-        if p == 2:
-            return float(self.sigma2[i]), float(self.sigma2_stderr[i])
-        raise DomainError(f"p must be 1 or 2, got {p}")
+        return float(self.sigma2[i]), float(self.sigma2_stderr[i])
 
 
 def build_variance_table(reps=2000, path_len=4096, seed=20240601,
@@ -346,11 +354,9 @@ def build_variance_table(reps=2000, path_len=4096, seed=20240601,
     s2 = np.empty(grid.size)
     s2e = np.empty(grid.size)
     for i, H in enumerate(grid):
-        cell_seed_2 = int(np.random.SeedSequence([seed, 2, i]).generate_state(1)[0])
-        s2[i], s2e[i] = sigma_p_mc(2, float(H), reps, path_len, cell_seed_2)
-        if H < 0.75 - 1e-9:
-            cell_seed_1 = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
-            s1[i], s1e[i] = sigma_p_mc(1, float(H), reps, path_len, cell_seed_1)
+        s2[i], s2e[i] = sigma_p_mc(2, float(H), reps, path_len, derive_seed(seed, 2, i))
+        if _sigma1_exists(H):
+            s1[i], s1e[i] = sigma_p_mc(1, float(H), reps, path_len, derive_seed(seed, 1, i))
         if progress is not None:
             progress(i + 1, grid.size)
     return VarianceTable(grid, s1, s1e, s2, s2e, reps=reps, path_len=path_len, seed=seed)

@@ -1,7 +1,7 @@
-"""Path file format: `# key=value` header lines, then t<TAB>value rows.
-
-Values are written with 17 significant digits, which round-trips IEEE
-doubles exactly.  Row j of a path with n+1 rows is sampled at t = j/n.
+"""The one text format of path files, limit tables and experiment appendices:
+`# key=value` header lines, then tab-separated rows of numbers written with
+17 significant digits, which round-trips IEEE doubles exactly.  A path file
+has t<TAB>value rows; row j of a path with n+1 rows is sampled at t = j/n.
 """
 
 import math
@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ParseError
 from .increments import SampledPath
 
+SEP = "\t"  # between the fields of a row
 # largest accepted |t*n - j| for row j of n+1 rows: a thousandth of a grid step
 T_TOL = 1e-3
 
@@ -33,21 +34,45 @@ def _atomic_write(filename, text):
         raise
 
 
-def format_params(params):
-    return ",".join(f"{k}={v}" for k, v in params.items())
+def write_rows(filename, meta, rows, header=None):
+    """Write meta as `# key=value` lines, then the optional column header and the rows."""
+    lines = [f"# {k}={v}" for k, v in meta.items()]
+    if header is not None:
+        lines.append(SEP.join(header))
+    lines += [SEP.join([f"{v:.17g}" for v in row]) for row in rows]
+    _atomic_write(filename, "\n".join(lines) + "\n")
+
+
+def read_rows(filename):
+    """(meta, [(1-based line number, fields)]) of a file in this format."""
+    meta = {}
+    with open(filename) as f:
+        return meta, list(_data_rows(f, meta))
+
+
+def _data_rows(lines, meta):
+    """Stripped data lines as (line number, fields split at tabs), skipping blank
+    lines and `#` lines without `=`; other `#` lines fill meta.  read_path streams
+    these, so that a long path is never held in memory as strings."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        elif line:
+            yield lineno, line.split(SEP)
 
 
 def write_path(path, filename, kind="data", seed=None, params=None):
     """Write a SampledPath with its provenance header."""
-    lines = [f"# n={path.n}", f"# kind={kind}"]
+    meta = {"n": path.n, "kind": kind}
     if seed is not None:
-        lines.append(f"# seed={seed}")
+        meta["seed"] = seed
     if params:
-        lines.append(f"# params={format_params(params)}")
-    t = path.times()
-    for tt, v in zip(t, path.values):
-        lines.append(f"{tt:.17g}\t{v:.17g}")
-    _atomic_write(filename, "\n".join(lines) + "\n")
+        meta["params"] = ",".join(f"{k}={v}" for k, v in params.items())
+    # Python floats format faster than numpy scalars, to the same digits
+    write_rows(filename, meta, zip(path.times().tolist(), path.values.tolist()))
 
 
 def read_path(filename):
@@ -56,29 +81,18 @@ def read_path(filename):
     Malformed or non-finite rows, and rows whose time is not j/n, raise
     ParseError carrying the 1-based line number.
     """
-    meta = {}
-    times, values, linenos = [], [], []
+    meta, times, values, linenos = {}, [], [], []
     with open(filename) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, _, v = body.partition("=")
-                    meta[k.strip()] = v.strip()
-                continue
-            parts = line.split("\t")
+        for lineno, parts in _data_rows(f, meta):
             if len(parts) != 2:
-                raise ParseError(f"expected 't<TAB>value', got {line!r}", line=lineno)
+                raise ParseError(f"expected 't<TAB>value', got {SEP.join(parts)!r}", line=lineno)
             try:
                 t = float(parts[0])
                 v = float(parts[1])
             except ValueError:
-                raise ParseError(f"non-numeric row {line!r}", line=lineno) from None
+                raise ParseError(f"non-numeric row {SEP.join(parts)!r}", line=lineno) from None
             if not (math.isfinite(t) and math.isfinite(v)):
-                raise ParseError(f"non-finite sample {line!r}", line=lineno)
+                raise ParseError(f"non-finite sample {SEP.join(parts)!r}", line=lineno)
             times.append(t)
             values.append(v)
             linenos.append(lineno)

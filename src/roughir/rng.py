@@ -10,6 +10,8 @@ so batch runs are reproducible and independent of scheduling order.
 
 import numpy as np
 
+from .errors import DomainError
+
 COMPONENT_IDS = {
     "fbm": 1,
     "mbm": 2,
@@ -24,12 +26,19 @@ COMPONENT_IDS = {
 }
 
 
+def _seed_sequence(root_seed, keys):
+    ints = [int(root_seed)] + [COMPONENT_IDS[k] if isinstance(k, str) else int(k) for k in keys]
+    if min(ints) < 0:
+        raise DomainError("seeds and derivation keys must be nonnegative")
+    return np.random.SeedSequence(ints)
+
+
 def derive_rng(root_seed, *keys):
     """Generator derived from (root_seed, *keys); keys are small nonneg ints
-    or component names from COMPONENT_IDS."""
-    ints = [int(root_seed)]
-    for k in keys:
-        ints.append(COMPONENT_IDS[k] if isinstance(k, str) else int(k))
-    if any(v < 0 for v in ints):
-        raise ValueError("seeds and derivation keys must be nonnegative")
-    return np.random.default_rng(np.random.SeedSequence(ints))
+    or component names from COMPONENT_IDS.  A negative one raises DomainError."""
+    return np.random.default_rng(_seed_sequence(root_seed, keys))
+
+
+def derive_seed(root_seed, *keys):
+    """The first 32-bit word of derive_rng's SeedSequence for (root_seed, *keys)."""
+    return int(_seed_sequence(root_seed, keys).generate_state(1)[0])

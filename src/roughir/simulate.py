@@ -25,6 +25,7 @@ from .stable import sample_sym_stable
 MBM_DEFAULT_MAX_N = 8192  # dense factorization is O(n^3); cap unless overridden
 _MBM_COV_BLOCK = 512  # rows per block in mbm_covariance
 _EULER_CHUNK = 4096  # fine Euler steps drawn per replication at a time
+MAX_EXPECTED_JUMPS = 2**24  # per path and jump kind: a draw's peak memory stays near 0.5 GB
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +297,12 @@ def _euler_paths(n, a_func, b_func, x0, refine, rngs):
 
     rngs is one Generator per replication; increments are consumed in
     time-chunks so the output is identical to per-path simulation.
+    Needs refine >= 16 and n >= 2.
     """
+    if refine < 16:
+        raise DomainError(f"Euler refinement must be >= 16, got {refine}")
+    if n < 2:
+        raise SizeError(f"need grid size n >= 2, got {n}")
     reps = len(rngs)
     steps = n * refine
     dt = 1.0 / steps
@@ -336,10 +342,6 @@ def sim_diffusion(n, a_func, b_func, x0, refine=64, seed=0):
     subsampled; refine >= 16.  The diffusion coefficient should stay
     bounded away from zero on the visited range.
     """
-    if refine < 16:
-        raise DomainError(f"Euler refinement must be >= 16, got {refine}")
-    if n < 2:
-        raise SizeError(f"need grid size n >= 2, got {n}")
     paths = _euler_paths(n, a_func, b_func, x0, refine, [derive_rng(seed, "diffusion")])
     return SampledPath(paths[0])
 
@@ -408,6 +410,7 @@ def sim_levy_compound(n, a_weight=0.0, seed=0, *, rate=0.0, jump_scale=1.0,
         raise DomainError(f"jump rate must be >= 0, got {rate}")
     if jump_scale <= 0:
         raise DomainError(f"jump scale must be positive, got {jump_scale}")
+    small_rate = 0.0  # expected small jumps on [0, 1]: the tail mass K(stable_cutoff)
     if stable_alpha is not None:
         if not 0.0 < stable_alpha < 2.0:
             raise DomainError(f"small-jump index must lie in (0,2), got {stable_alpha}")
@@ -415,6 +418,10 @@ def sim_levy_compound(n, a_weight=0.0, seed=0, *, rate=0.0, jump_scale=1.0,
             raise DomainError("need 0 < stable_cutoff < 1")
         if stable_c <= 0:
             raise DomainError(f"small-jump mass must be positive, got {stable_c}")
+        small_rate = stable_c * (stable_cutoff ** (-stable_alpha) - 1.0)
+    if max(rate, small_rate) > MAX_EXPECTED_JUMPS:
+        raise SizeError(f"{max(rate, small_rate):.3g} expected jumps of one kind exceed "
+                        f"the cap of {MAX_EXPECTED_JUMPS} per path")
     rng = derive_rng(seed, "levy_compound")
 
     inc = np.zeros(n)
@@ -427,7 +434,6 @@ def sim_levy_compound(n, a_weight=0.0, seed=0, *, rate=0.0, jump_scale=1.0,
 
     if stable_alpha is not None:
         al, eps = stable_alpha, stable_cutoff
-        lam_eps = stable_c * (eps ** (-al) - 1.0)
 
         def draw_small(rng, m):
             # inverse-transform for tail K(u) ~ u^-alpha on [eps, 1]
@@ -436,7 +442,7 @@ def sim_levy_compound(n, a_weight=0.0, seed=0, *, rate=0.0, jump_scale=1.0,
             sign = rng.integers(0, 2, m) * 2.0 - 1.0
             return sign * mag
 
-        inc += _window_jump_sums(rng, n, lam_eps, draw_small)
+        inc += _window_jump_sums(rng, n, small_rate, draw_small)
 
     return _path_from_increments(inc)
 
@@ -497,8 +503,6 @@ class SimSpec:
         names = inspect.signature(simulator(self.kind)).parameters
         if self.n < 2:
             raise SizeError(f"need grid size n >= 2, got {self.n}")
-        if self.seed < 0:
-            raise DomainError("seed must be a nonnegative integer")
         free = [k for k in names if k not in ("n", "seed")]
         missing = [k for k in free if names[k].default is inspect.Parameter.empty
                    and k not in self.params]

@@ -55,12 +55,6 @@ def sample_sym_stable(alpha, rng, size=None):
     return float(z[0]) if scalar else z
 
 
-def _check_reps(reps):
-    """The 40-batch stderr of _psi_moments needs at least 1e4 replications."""
-    if reps < 10_000:
-        raise SizeError(f"need at least 1e4 replications, got {reps}")
-
-
 def _psi_moments(z):
     """Monte Carlo moments of A = psi(Z1,Z2), B = psi(Z2,Z3) from an
     (reps, 3) stable draw: (mean of A, its stderr, 2 var(A) + 4 cov(A, B),
@@ -155,7 +149,8 @@ def build_stable_table(reps=1_000_000, seed=20240602, alpha_grid=None, progress=
     random numbers), which makes the raw curve essentially monotone
     before the isotonic projection.
     """
-    _check_reps(reps)
+    if reps < 10_000:  # the 40-batch stderr of _psi_moments
+        raise SizeError(f"need at least 1e4 replications, got {reps}")
     grid = ALPHA_GRID_DEFAULT if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
         raise DomainError(f"alpha grid must hold at least 2 strictly increasing points, "

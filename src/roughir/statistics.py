@@ -43,17 +43,14 @@ class IRSummary:
 
 def psi(x, y):
     """|x+y| / (|x|+|y|), with 0/0 := 1.  Total, 0-homogeneous, in [0,1]."""
-    den = abs(x) + abs(y)
-    if den == 0.0:
-        return 1.0
-    return abs(x + y) / den
+    return float(psi_terms(np.array([x], float), np.array([y], float), "psi")[0][0])
 
 
 def psi0(x, y):
     """Sign-persistence indicator: 1 if sign(x)*sign(y) >= 0 else 0.
 
     The signs are compared, not x*y, which underflows to 0 for tiny x, y."""
-    return 1.0 if np.sign(x) * np.sign(y) >= 0.0 else 0.0
+    return float(psi_terms(np.array([x], float), np.array([y], float), "psi0")[0][0])
 
 
 def psi_terms(x, y, kind):

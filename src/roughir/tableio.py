@@ -1,6 +1,6 @@
 """Persistence and caching of the Monte Carlo limit tables.
 
-One self-describing delimited text format for both table kinds:
+Both table kinds are files in pathio's text format:
 
     # schema=roughir-table-v1
     # kind=gaussian|stable
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParseError
 from .gaussian import VarianceTable, build_variance_table
-from .pathio import _atomic_write
+from .pathio import read_rows, write_rows
 from .stable import LambdaTildeTable, build_stable_table
 
 SCHEMA = "roughir-table-v1"
@@ -32,38 +32,17 @@ STABLE_COLUMNS = ("alpha", "lambda", "lambda_stderr", "sigma_sq", "sigma_sq_stde
                   "dlambda_dalpha")
 
 
-def _write(filename, kind, meta, columns, rows):
-    lines = [f"# schema={SCHEMA}", f"# kind={kind}"]
-    lines += [f"# {k}={v}" for k, v in meta.items()]
-    lines.append("\t".join(columns))
-    lines += ["\t".join(f"{v:.17g}" for v in row) for row in rows]
-    _atomic_write(filename, "\n".join(lines) + "\n")
-
-
 def _read(filename, kind, columns, meta_keys):
     """The integer metadata meta_keys and (line number, floats of columns)
     per data row of a kind table file."""
-    meta = {}
-    header = None
-    rows = []
-    with open(filename) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                k, _, v = line[1:].partition("=")
-                meta[k.strip()] = v.strip()
-            elif header is None:
-                header = line.split("\t")
-            else:
-                rows.append((lineno, line.split("\t")))
+    meta, lines = read_rows(filename)
     if meta.get("schema") != SCHEMA:
         raise ParseError(f"not a {SCHEMA} file (schema={meta.get('schema')!r})", line=None)
     if meta.get("kind") != kind:
         raise ParseError(f"expected a {kind} table, got kind={meta.get('kind')!r}", line=None)
-    if not rows:
+    if len(lines) < 2:
         raise ParseError("table file has no data rows", line=None)
+    (_, header), *rows = lines
     missing = [c for c in columns if c not in header]
     if missing:
         raise ParseError(f"missing column(s) {', '.join(missing)}", line=None)
@@ -92,8 +71,9 @@ def save_variance_table(table, filename):
         for H, s, e in zip(table.h_grid, sig, se):
             if not math.isnan(s):
                 rows.append((H, p, s, e))
-    meta = {"reps": table.reps, "path_len": table.path_len, "seed": table.seed}
-    _write(filename, "gaussian", meta, VARIANCE_COLUMNS, rows)
+    meta = {"schema": SCHEMA, "kind": "gaussian", "reps": table.reps,
+            "path_len": table.path_len, "seed": table.seed}
+    write_rows(filename, meta, rows, header=VARIANCE_COLUMNS)
 
 
 def load_variance_table(filename):
@@ -114,9 +94,9 @@ def load_variance_table(filename):
 def save_stable_table(table, filename):
     rows = zip(table.alpha_grid, table.lam, table.lam_stderr, table.sigma_sq,
                table.sigma_sq_stderr, table.dlam)
-    meta = {"reps": table.reps, "seed": table.seed,
+    meta = {"schema": SCHEMA, "kind": "stable", "reps": table.reps, "seed": table.seed,
             "monotone_violations": table.monotone_violations}
-    _write(filename, "stable", meta, STABLE_COLUMNS, rows)
+    write_rows(filename, meta, rows, header=STABLE_COLUMNS)
 
 
 def load_stable_table(filename):

@@ -142,6 +142,28 @@ class TestSimulate:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--table-dir", "{d}", "tables", "--kind", "stable", "--reps", "10000", "--seed", "-5"],
+    ["experiment", "--name", "trend-robustness", "--seed", "-1", "--n", "64", "--reps", "2"],
+    ["--table-dir", "{d}", "estimate", "--input", "{d}/p.tsv", "--seed", "-1"],
+], ids=["tables", "experiment", "estimate"])
+def test_negative_seed_usage_error(tmp_path, capsys, argv):
+    # estimate has no table in {d}, so it derives a fallback table's seeds
+    ri.write_path(ri.sim_fbm(64, 0.5, 1), str(tmp_path / "p.tsv"))
+    assert run(*[a.format(d=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error: seeds and derivation keys must be nonnegative" in err
+    assert "Traceback" not in err
+
+
+def test_jump_count_above_cap_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.tsv"
+    assert run("simulate", "--kind", "levy-compound", "--n", "2048", "--stable-alpha", "1.66",
+               "--stable-cutoff", "1e-5", "--stable-c", "2.7", "--out", str(out)) == 2
+    assert "error: 5.39e+08 expected jumps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEstimate:
     def test_hurst_round_trip(self, tmp_path, table_dir):
         f = tmp_path / "p.tsv"

@@ -10,7 +10,9 @@ from scipy.interpolate import PchipInterpolator
 
 import roughir as ri
 from roughir.errors import DomainError, InterpolationError, RangeError, SizeError
+from roughir.experiments import exp_clt_fbm
 from roughir.gaussian import RHO2_AT_0, RHO2_AT_1, _pchip
+from roughir.rng import derive_seed
 
 from .oracles import epsi_gauss_quad, p_increment_cov_quadratic_form, sigma_p_lag_sum
 
@@ -217,7 +219,26 @@ class TestSigmaPMc:
         assert abs(v_mc - v_lag) <= 3 * math.hypot(e_mc, e_lag)
 
 
+def test_derive_seed_is_the_seed_sequence_word():
+    assert derive_seed(77, 2, 1) == int(np.random.SeedSequence([77, 2, 1]).generate_state(1)[0])
+    with pytest.raises(DomainError, match="nonnegative"):
+        derive_seed(-1, 2, 1)
+    with pytest.raises(DomainError, match="nonnegative"):
+        ri.build_variance_table(reps=100, path_len=64, seed=-1, h_grid=[0.5])
+
+
 class TestVarianceTable:
+    def test_p1_entry_above_three_quarters_is_domain_error(self):
+        table = ri.VarianceTable(np.array([0.5, 0.8]), np.array([0.3, np.nan]),
+                                 np.array([0.01, np.nan]), np.array([0.2, 0.3]),
+                                 np.array([0.01, 0.01]), reps=100, path_len=256, seed=0)
+        assert table.entry(1, 0.5) == (0.3, 0.01)
+        assert table.entry(2, 0.8) == (0.3, 0.01)
+        with pytest.raises(DomainError, match="3/4"):
+            table.entry(1, 0.8)
+        with pytest.raises(DomainError, match="3/4"):
+            exp_clt_fbm(table, h_values=(0.8,), p=1, n=64, reps=2)
+
     def test_entries_nonnegative(self, variance_table):
         assert np.nanmin(variance_table.sigma1) >= 0
         assert variance_table.sigma2.min() >= 0

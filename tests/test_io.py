@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import os
 import stat
 import string
@@ -13,6 +15,7 @@ import roughir as ri
 from roughir import tableio
 from roughir.cli import main
 from roughir.errors import ParseError
+from roughir.experiments import exp_trend_robustness
 
 STABLE_FILE = ("# schema=roughir-table-v1\n# kind=stable\n# reps=20000\n# seed=4\n"
                "# monotone_violations=0\n"
@@ -113,6 +116,74 @@ class TestPathFiles:
         ri.write_path(p, str(fn))
         q, _ = ri.read_path(str(fn))
         assert q.values.tobytes() == p.values.tobytes()
+
+
+def _write_path(fn):
+    ri.write_path(ri.sim_fbm(257, 0.37, 5), fn, kind="fbm", seed=5, params={"H": 0.37})
+
+
+def _write_variance_table(fn):
+    ri.save_variance_table(ri.build_variance_table(reps=100, path_len=128, seed=77,
+                                                   h_grid=[0.4, 0.6, 0.8]), fn)
+
+
+def _write_stable_table(fn):
+    ri.save_stable_table(ri.build_stable_table(reps=20_000, seed=4,
+                                               alpha_grid=[0.5, 1, 1.5, 2]), fn)
+
+
+def _write_appendix(fn):
+    exp_trend_robustness(n=256, pairs=5).write(fn + ".json")
+    os.replace(fn + ".json.reps.tsv", fn)
+
+
+@pytest.mark.parametrize("write, digest", [
+    (_write_path, "4adccdfd2a892df7cee4ac6c24c5a65065b14edd579a5f2b424fb34d6e40a05f"),
+    (_write_variance_table, "92612b4856445b8ae94da2fad8290ae8db4fc533fc0878df22e4f27259fbc9a7"),
+    (_write_stable_table, "aa960982820c8fde16e76da8a4fe009eab2c63067d2a9ae02ccece1e7ccd6225"),
+    (_write_appendix, "4bf8689295d0ccad7078282bd13081aab461d8a290b8505701c9adc16643acc1"),
+], ids=["path", "variance-table", "stable-table", "appendix"])
+def test_written_bytes_pinned(tmp_path, write, digest):
+    # digests of the files that separate per-module writers produced; the
+    # shared writer must keep every byte
+    fn = str(tmp_path / "out.tsv")
+    write(fn)
+    with open(fn, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == digest
+
+
+def _untidy(text):
+    """text with CRLF line ends, trailing spaces on every line and a `# note`
+    comment after its first line."""
+    lines = text.splitlines()
+    lines.insert(1, "# note")
+    return "".join(f"{line}  \r\n" for line in lines).encode()
+
+
+def _same_fields(a, b):
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+               if isinstance(getattr(a, f.name), np.ndarray)
+               else getattr(a, f.name) == getattr(b, f.name) for f in dataclasses.fields(a))
+
+
+class TestUntidyFiles:
+    def test_path_file_loads_the_same(self, tmp_path):
+        fn = tmp_path / "p.tsv"
+        _write_path(str(fn))
+        clean, clean_meta = ri.read_path(str(fn))
+        fn.write_bytes(_untidy(fn.read_text()))
+        path, meta = ri.read_path(str(fn))
+        assert path.values.tobytes() == clean.values.tobytes()
+        assert meta == clean_meta
+
+    @pytest.mark.parametrize("kind, text", [("gaussian", GAUSSIAN_FILE),
+                                            ("stable", STABLE_FILE)], ids=["gaussian", "stable"])
+    def test_table_file_loads_the_same(self, tmp_path, kind, text):
+        fn = tmp_path / "t.tsv"
+        fn.write_text(text)
+        clean = tableio.KINDS[kind].load(str(fn))
+        fn.write_bytes(_untidy(text))
+        assert _same_fields(tableio.KINDS[kind].load(str(fn)), clean)
 
 
 class TestAtomicWrite:

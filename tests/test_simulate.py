@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -208,6 +209,17 @@ class TestDiffusion:
         assert np.array_equal(b1, b2)
         assert b1.shape == (3, 129)
 
+    @pytest.mark.parametrize("n, refine, error", [(8, 0, DomainError), (8, 15, DomainError),
+                                                  (1, 16, SizeError)])
+    def test_batch_checks_inputs_as_single_path(self, n, refine, error):
+        from roughir.simulate import sim_diffusion_batch
+        a, b, x0 = DIFFUSION_PRESETS["brownian"]
+        with pytest.raises(error) as batch:
+            sim_diffusion_batch(n, a, b, x0, refine, 1, 2)
+        with pytest.raises(error) as single:
+            ri.sim_diffusion(n, a, b, x0, refine=refine, seed=1)
+        assert str(batch.value) == str(single.value)
+
 
 class TestLevyStable:
     def test_alpha_two_variance(self):
@@ -272,6 +284,16 @@ class TestLevyCompound:
             ri.sim_levy_compound(64, -0.5, seed=1, rate=1.0)
         with pytest.raises(DomainError, match="stable_cutoff < 1"):
             ri.sim_levy_compound(64, seed=1, stable_alpha=1.2, stable_cutoff=1.0)
+
+    @pytest.mark.parametrize("params", [
+        dict(stable_alpha=1.66, stable_cutoff=1e-5, stable_c=2.7),  # 5.4e8 small jumps
+        dict(rate=2.0**24 + 1),
+    ], ids=["small-jumps", "poisson-jumps"])
+    def test_expected_jump_count_capped_before_any_draw(self, monkeypatch, params):
+        module = importlib.import_module("roughir.simulate")  # ri.simulate is the function
+        monkeypatch.setattr(module, "derive_rng", lambda *keys: pytest.fail("drew"))
+        with pytest.raises(SizeError, match="expected jumps"):
+            ri.sim_levy_compound(2048, 0.0, seed=1, **params)
 
 
 class TestTrend:
