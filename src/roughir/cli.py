@@ -190,14 +190,14 @@ def cmd_simulate(args):
 
 
 def cmd_tables(args):
-    fn = args.out
-    if fn is None:
-        d = _table_dir(args)
-        os.makedirs(d, exist_ok=True)
-        fn = os.path.join(d, f"{args.kind}.tsv")
     kind = tableio.KINDS[args.kind]
     table = kind.build(**_accepted(kind.build, seed=args.seed, reps=args.reps,
                                    path_len=args.path_len))
+    fn = args.out
+    if fn is None:  # made only once the build has succeeded
+        d = _table_dir(args)
+        os.makedirs(d, exist_ok=True)
+        fn = os.path.join(d, f"{args.kind}.tsv")
     kind.save(table, fn)
     if table.reps < PRODUCTION_REPS[args.kind]:
         print(f"warning: {table.reps} replications is low for a production table",

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .gaussian import Lambda_p, estimate_H, invert_Lambda2, lam
+from .gaussian import Lambda_p, _check_sigma_p, estimate_H, invert_Lambda2, lam
 from .increments import SampledPath
 from .pathio import _atomic_write, write_rows
 from .rng import derive_rng
@@ -114,6 +114,8 @@ def exp_clt_fbm(variance_table, h_values=(0.3, 0.5, 0.7), p=2, n=4096,
                 reps=500, seed=1001, conf=0.95, var_rtol=0.20,
                 coverage_band=(0.92, 0.98)):
     rep = ExperimentReport.start("clt-fbm", locals(), min_reps=2)
+    for H in h_values:  # every n*var target must exist before the first draw
+        _check_sigma_p(p, H)
     for hi, H in enumerate(h_values):
         sampler = FbmSampler(n, H)
         vals = np.empty(reps)

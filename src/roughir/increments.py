@@ -112,17 +112,18 @@ def p_increment(path, p, j):
     return filtered_increment(path, make_binomial_filter(p), j)
 
 
-def filtered_increment_array(values, coeffs):
-    """All filtered increments of a value array (indices 0..n-q): the one
-    increment kernel, a_0 v_j + a_1 v_(j+1) + ... + a_q v_(j+q) summed left
-    to right over shifted slices, so any one increment matches it exactly."""
+def filtered_increment_array(values, coeffs, step=1):
+    """Filtered increments of a value array at indices 0, step, 2*step, ...
+    up to n-q: the one increment kernel, a_0 v_j + a_1 v_(j+1) + ... +
+    a_q v_(j+q) summed left to right over shifted slices, so any one
+    increment matches it exactly whatever the step."""
     q = len(coeffs) - 1
     if values.size <= q:
         raise SizeError(f"need more than {q} samples, got {values.size}")
     m = values.size - q
-    d = coeffs[0] * values[:m]
+    d = coeffs[0] * values[:m:step]
     for l in range(1, q + 1):
-        d += coeffs[l] * values[l : l + m]
+        d += coeffs[l] * values[l : l + m : step]
     return d
 
 

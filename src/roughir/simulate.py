@@ -41,10 +41,12 @@ def _path_from_increments(inc):
 
 
 @functools.lru_cache(maxsize=16)
-def _fgn_embedding_eigs(n, H):
-    """Eigenvalues of the 2n circulant embedding of the fGn covariance;
-    FactorizationError when any is materially negative (for H in
-    [0.001, 0.999] only at n >= 2^18 with H near 1)."""
+def _fgn_amplitudes(n, H):
+    """Amplitudes of the n+1 Fourier modes of a fGn draw: the square roots
+    of the eigenvalues of the 2n circulant embedding of the fGn covariance,
+    halved for the complex modes 1..n-1.  FactorizationError when any
+    eigenvalue is materially negative (for H in [0.001, 0.999] only at
+    n >= 2^18 with H near 1)."""
     r = fbm_increment_cov(1, H, np.arange(n + 1))
     row = np.concatenate([r, r[-2:0:-1]])
     eig = np.fft.rfft(row).real
@@ -54,8 +56,10 @@ def _fgn_embedding_eigs(n, H):
             f"(min {eig.min():.3e}); no exact sampler for this grid size"
         )
     eig = np.maximum(eig, 0.0)
-    eig.flags.writeable = False
-    return eig
+    eig[1:n] /= 2.0
+    amp = np.sqrt(eig, out=eig)
+    amp.flags.writeable = False
+    return amp
 
 
 class FbmSampler:
@@ -73,7 +77,7 @@ class FbmSampler:
             raise SizeError(f"need grid size n >= 2, got {n}")
         self.n = int(n)
         self.H = float(H)
-        self._eigs = _fgn_embedding_eigs(self.n, self.H)
+        self._amp = _fgn_amplitudes(self.n, self.H)
 
     def sample_fgn(self, rng):
         """One length-n draw of unit-lag fractional Gaussian noise."""
@@ -82,9 +86,10 @@ class FbmSampler:
         ab = rng.standard_normal(2)
         uv = rng.standard_normal((n - 1, 2))
         c = np.empty(n + 1, dtype=complex)
-        c[0] = math.sqrt(self._eigs[0]) * ab[0]
-        c[n] = math.sqrt(self._eigs[n]) * ab[1]
-        c[1:n] = np.sqrt(self._eigs[1:n] / 2.0) * (uv[:, 0] + 1j * uv[:, 1])
+        amp = self._amp
+        c[0] = amp[0] * ab[0]
+        c[n] = amp[n] * ab[1]
+        c[1:n] = amp[1:n] * (uv[:, 0] + 1j * uv[:, 1])
         return np.fft.irfft(c, n=m)[:n] * math.sqrt(m)
 
     def sample_path(self, rng):

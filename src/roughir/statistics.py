@@ -57,60 +57,79 @@ def psi_terms(x, y, kind):
     """psi ("psi") or psi0 ("psi0") elementwise over paired arrays.
 
     Returns (terms, count of pairs where x and y both vanish): the 0/0
-    terms for psi, the both-zero pairs for psi0.
+    terms for psi, the both-zero pairs for psi0.  |x+y| and |x|+|y| are
+    formed in place; the 0/0 terms, exactly those with |x|+|y| == 0, are
+    then set to 1.
     """
     if kind == "psi":
-        den = np.abs(x) + np.abs(y)
+        den = np.abs(x)
+        t = np.abs(y)
+        den += t
         zero = den == 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = np.abs(x + y) / np.where(zero, 1.0, den)
-        t[zero] = 1.0
-    else:
-        t = (np.sign(x) * np.sign(y) >= 0.0).astype(float)
-        zero = (x == 0.0) & (y == 0.0)
-    return t, int(zero.sum())
+        with np.errstate(invalid="ignore"):
+            np.add(x, y, out=t)
+            np.abs(t, out=t)
+            t /= den
+        count = int(np.count_nonzero(zero))
+        if count:
+            t[zero] = 1.0
+        return t, count
+    t = np.sign(x)
+    t *= np.sign(y)
+    np.greater_equal(t, 0.0, out=t)
+    return t, int(np.count_nonzero((x == 0.0) & (y == 0.0)))
 
 
 # Exact summation by error-free extraction (Rump, Ogita & Oishi, "Accurate
 # floating-point summation, part I", SIAM J. Sci. Comput. 2008).  Terms are
 # split in blocks of _BLOCK; 2^_M >= _BLOCK + 2 makes every extracted part's
-# numpy sum exact in any order.
+# numpy sum exact in any order.  The statistics walk their pairs in the same
+# blocks, so each block's increments and terms are summed while in cache.
 _BLOCK = 1 << 15
 _M = 16
 _TINY = 2.0**-960  # smallest sigma; keeps sigma and 2^-53 sigma normal numbers
+
+
+def _extract(b, q, kept):
+    """Append exact partial sums of the block b to kept; their exact sum is
+    sum(b).
+
+    Works in place on b, at most _BLOCK terms that must be finite and below
+    2^1000 in magnitude; q is scratch of b's size.  With |b_i| <= 2^e and
+    sigma = 2^(_M+e), the part q = (b + sigma) - sigma of each term is a
+    multiple of 2^-53 sigma and at most 2^e, so the numpy sum of q is exact;
+    b - q is exact and at most 2^-53 sigma, which starts the next level.  A
+    remainder still left below _TINY is kept term by term.
+    """
+    top = float(np.abs(b, out=q).max())
+    if top == 0.0:
+        return
+    sigma = math.ldexp(1.0, _M + math.frexp(top)[1])
+    while True:
+        np.add(b, sigma, out=q)
+        q -= sigma
+        b -= q
+        kept.append(float(q.sum()))
+        if not b.any():
+            return
+        sigma = math.ldexp(sigma, _M - 53)
+        if sigma < _TINY:
+            kept.extend(b[b != 0.0].tolist())
+            return
 
 
 def _exact_sum(t):
     """Correctly rounded sum of t: math.fsum(t), bit for bit.
 
     Works in place on t, whose terms must be finite and below 2^1000 in
-    magnitude.  With |t_i| <= 2^e and sigma = 2^(_M+e), the part
-    q = (t + sigma) - sigma of each term is a multiple of 2^-53 sigma and
-    at most 2^e, so the block's numpy sum of q is exact; t - q is exact and
-    at most 2^-53 sigma, which starts the next level.  A remainder still
-    left below _TINY goes to math.fsum term by term; otherwise math.fsum
-    only combines a few dozen exact partial sums.
+    magnitude.  math.fsum only combines the few dozen exact partial sums
+    that _extract keeps per block of _BLOCK terms.
     """
     kept = []
     scratch = np.empty(min(t.size, _BLOCK))
     for lo in range(0, t.size, _BLOCK):
         b = t[lo:lo + _BLOCK]
-        q = scratch[:b.size]
-        top = float(np.abs(b, out=q).max())
-        if top == 0.0:
-            continue
-        sigma = math.ldexp(1.0, _M + math.frexp(top)[1])
-        while True:
-            np.add(b, sigma, out=q)
-            q -= sigma
-            b -= q
-            kept.append(float(q.sum()))
-            if not b.any():
-                break
-            sigma = math.ldexp(sigma, _M - 53)
-            if sigma < _TINY:
-                kept.extend(b[b != 0.0].tolist())
-                break
+        _extract(b, scratch[:b.size], kept)
     return math.fsum(kept)
 
 
@@ -118,24 +137,49 @@ def _summary(values, coeffs, kind, window=slice(None)):
     """Mean of psi/psi0 over consecutive pairs of the filtered increments
     of values selected by window.
 
-    psi and psi0 are 0-homogeneous, so a path whose increments overflow is
-    scaled by a power of two that keeps every increment below 2^1022, and
-    so |x| + |y| and x + y finite.
+    psi and psi0 are 0-homogeneous, so when some block holds an increment
+    too large for psi, the whole path is scaled by a power of two that keeps
+    every increment below 2^1022, and so |x| + |y| and x + y finite, and
+    walked again.
     """
+    sel = range(values.size - len(coeffs) + 1)[window]
     with np.errstate(over="ignore", invalid="ignore"):
-        d = filtered_increment_array(values, coeffs)[window]
-        # d @ d is finite only if every |d_k| < 2^512, far from overflow in psi
-        if not math.isfinite(d @ d):
+        walked = _walk(values, coeffs, kind, sel, checked=True)
+        if walked is None:
             k = (math.frexp(float(np.abs(values).max()))[1]
                  + math.frexp(float(np.abs(coeffs).sum()))[1] - 1022)
-            values = np.ldexp(values, -max(k, 0))
-            d = filtered_increment_array(values, coeffs)[window]
-        terms, zero_count = psi_terms(d[:-1], d[1:], kind)
-    # the correctly rounded sum does not depend on summation order, even
-    # for n ~ 1e6 terms
-    total = _exact_sum(terms)
-    return IRSummary(value=min(total / terms.size, 1.0), terms=terms.size,
+            walked = _walk(np.ldexp(values, -max(k, 0)), coeffs, kind, sel, checked=False)
+    kept, zero_count = walked
+    terms = len(sel) - 1
+    # fsum of the exact partial sums is the correctly rounded sum of all
+    # terms, so the value does not depend on the blocks
+    return IRSummary(value=min(math.fsum(kept) / terms, 1.0), terms=terms,
                      zero_over_zero=zero_count)
+
+
+def _walk(values, coeffs, kind, sel, checked):
+    """Exact partial sums and 0/0 count of the terms over the pairs of
+    increments at the indices sel, in blocks of _BLOCK pairs.
+
+    Each block forms its increments (one more than its pairs), its terms
+    and their partial sums while they are in cache, so the scratch memory
+    is O(_BLOCK) whatever the path length.  Returns None when checked and
+    some block has an increment too large for psi.
+    """
+    q = len(coeffs) - 1
+    pairs = len(sel) - 1
+    kept, zero_count = [], 0
+    scratch = np.empty(min(pairs, _BLOCK))
+    for j in range(0, pairs, _BLOCK):
+        k = min(j + _BLOCK, pairs)
+        d = filtered_increment_array(values[sel[j]:sel[k] + q + 1], coeffs, sel.step)
+        # d @ d is finite only if every |d_k| < 2^512, far from overflow in psi
+        if checked and not math.isfinite(d @ d):
+            return None
+        terms, zeros = psi_terms(d[:-1], d[1:], kind)
+        zero_count += zeros
+        _extract(terms, scratch[:terms.size], kept)
+    return kept, zero_count
 
 
 def _filtered_summary(path, a, kind):

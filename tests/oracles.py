@@ -4,7 +4,9 @@ Each oracle recomputes a target quantity by a route disjoint from the
 library implementation: plane quadrature of the Gaussian expectation,
 quadratic forms of the raw covariance, truncated lag sums of empirical
 covariances, direct quadrature of spectral densities, and plain Python
-float loops for filtered increments.
+float loops for filtered increments and psi.  summary_ref is the one
+statistic formula without blocks: whole-path increments and terms, then
+math.fsum.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 import roughir as ri
+from roughir.statistics import psi_terms
 
 
 def epsi_gauss_quad(r):
@@ -45,6 +48,29 @@ def filtered_increment_ref(values, coeffs, j):
     for l, a in enumerate(coeffs):
         total += float(a) * float(values[j + l])
     return total
+
+
+def psi_ref(x, y):
+    """psi of one pair in Python floats: |x+y| / (|x|+|y|), 0/0 := 1."""
+    den = abs(x) + abs(y)
+    return 1.0 if den == 0.0 else abs(x + y) / den
+
+
+def psi0_ref(x, y):
+    """psi0 of one pair in Python floats: 1 unless the signs are strictly
+    opposite, 0 if either is NaN."""
+    if math.isnan(x) or math.isnan(y):
+        return 0.0
+    return 0.0 if (x > 0.0 and y < 0.0) or (x < 0.0 and y > 0.0) else 1.0
+
+
+def summary_ref(values, coeffs, kind, window=slice(None)):
+    """(mean, terms, 0/0 count) of psi/psi0 over consecutive pairs of the
+    increments selected by window: the full-length increment array, its
+    terms, and math.fsum over all of them at once."""
+    d = ri.filtered_increment_array(values, coeffs)[window]
+    terms, zeros = psi_terms(d[:-1], d[1:], kind)
+    return math.fsum(terms) / terms.size, terms.size, zeros
 
 
 def fbm_cov(H, s, t):

@@ -285,6 +285,13 @@ class TestTables:
         assert out.exists()
         assert list(work.iterdir()) == []
 
+    def test_failed_build_creates_no_table_dir(self, tmp_path, capsys):
+        d = tmp_path / "tables"
+        assert run("--table-dir", str(d), "tables", "--kind", "stable",
+                   "--reps", "10000", "--seed", "-5") == 2
+        assert "error:" in capsys.readouterr().err
+        assert not d.exists()
+
     def test_zero_reps_rejected(self, tmp_path, capsys):
         assert run("tables", "--kind", "stable", "--reps", "0",
                    "--out", str(tmp_path / "s.tsv")) == 2

@@ -75,6 +75,15 @@ class TestSmallScaleRuns:
                                        var_rtol=0.35, coverage_band=(0.85, 1.0))
         assert len(rep.replications["R2_H0.5"]) == 120
 
+    def test_clt_fbm_missing_variance_before_any_draw(self, variance_table, monkeypatch):
+        draws = []
+        sample_path = ri.FbmSampler.sample_path
+        monkeypatch.setattr(ri.FbmSampler, "sample_path",
+                            lambda self, rng: draws.append(1) or sample_path(self, rng))
+        with pytest.raises(ri.DomainError, match="3/4"):
+            exp_clt_fbm(variance_table, h_values=(0.8,), p=1, n=64, reps=7)
+        assert draws == []
+
     def test_levy_clt_small(self, stable_table):
         rep = exp_levy_clt(stable_table, alphas=(1.2,), n=2048, reps=120,
                            seed=12, var_rtol=0.35, psi0_alphas=(1.2,))

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,8 +8,9 @@ import pytest
 
 import roughir as ri
 from roughir.errors import DomainError, SizeError
-from roughir.increments import p_increment_array
 from roughir.statistics import psi_terms
+
+from .oracles import psi0_ref, psi_ref, summary_ref
 
 
 def path_of(values):
@@ -263,19 +266,16 @@ class TestInvariances:
 class TestExactMean:
     """Every statistic is the correctly rounded mean: math.fsum's, bit for bit."""
 
-    @staticmethod
-    def fsum_mean(d):
-        terms, _ = psi_terms(d[:-1], d[1:], "psi")
-        return math.fsum(terms) / terms.size
+    second = ri.make_binomial_filter(2).coeffs
 
     def test_long_fbm_path(self):
         path = ri.FbmSampler(2**20, 0.7).sample_path(np.random.default_rng(21))
-        expected = self.fsum_mean(p_increment_array(path.values, 2))
+        expected, _, _ = summary_ref(path.values, self.second, "psi")
         assert ri.r_pn(path, 2).value == expected
 
     def test_long_stable_path(self):
         path = ri.sim_levy_stable(2**20, 0.5, seed=22)
-        expected = self.fsum_mean(p_increment_array(path.values, 2)[::2])
+        expected, _, _ = summary_ref(path.values, self.second, "psi", slice(None, None, 2))
         assert ri.r_tilde_2n(path).value == expected
 
 
@@ -365,3 +365,70 @@ class TestPinnedValues:
         path = self.PATHS[kind]()
         got = {name: stat(path).value.hex() for name, stat in self.STATS.items()}
         assert got == self.EXPECTED[kind]
+
+
+class TestBlockWalk:
+    """The statistics walk their pairs in blocks of 2^15: the increments,
+    terms and exact partial sums of one block at a time."""
+
+    BLOCK = 2**15
+
+    def test_three_block_pins(self):
+        # values at the whole-path formula, one increment array for all pairs
+        path = ri.sim_fbm(3 * self.BLOCK + 5, 0.3, seed=2024)
+        stats = {
+            "r_pn1": ri.r_pn(path, 1),
+            "r_an": ri.r_an(path, ri.Filter([1.0, -1.0, -1.0, 1.0], p=2)),
+            "r0_pn2": ri.r0_pn(path, 2),
+            "r_local": ri.r_local(path, 0.5, 0.9),
+            "r_tilde_2n": ri.r_tilde_2n(path),
+            "r0_tilde_2n": ri.r0_tilde_2n(path),
+        }
+        got = {name: (s.value.hex(), s.terms) for name, s in stats.items()}
+        assert got == {"r_pn1": ("0x1.534271c078261p-1", 98308),
+                       "r_an": ("0x1.647356dd7255cp-1", 98306),
+                       "r0_pn2": ("0x1.36ed9224dbb65p-2", 98307),
+                       "r_local": ("0x1.1f3162cc665bbp-1", 62283),
+                       "r_tilde_2n": ("0x1.7922770a6c4c8p-1", 49153),
+                       "r0_tilde_2n": ("0x1.0c069aa1dc7d8p-1", 49153)}
+
+    @pytest.mark.parametrize("kind, ref", [("psi", psi_ref), ("psi0", psi0_ref)])
+    def test_psi_terms_of_non_finite_inputs(self, kind, ref):
+        special = [0.0, -0.0, 1.0, -2.5, math.inf, -math.inf, math.nan,
+                   1e-300, -5e-324, 1e308, -1e308]
+        x, y = (np.array(v) for v in zip(*itertools.product(special, special)))
+        with np.errstate(over="ignore"):
+            t, zeros = psi_terms(x, y, kind)
+        expected = [ref(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert np.array_equal(t, expected, equal_nan=True)
+        assert zeros == 4  # the pairs of signed zeros
+
+    def test_only_whole_path_sum_of_squares_overflows(self):
+        # 2^20 increments near 2^502: every block's d @ d is finite, the whole
+        # path's is not
+        rng = np.random.default_rng(90)
+        inc = np.ldexp(rng.choice([-1.0, 1.0], 2**20) * rng.uniform(1.0, 1.4, 2**20), 502)
+        values = np.concatenate([[0.0], np.cumsum(inc)])
+        path = path_of(values)
+        cases = [(ri.r_pn(path, 1), 1, slice(None)), (ri.r_pn(path, 2), 2, slice(None)),
+                 (ri.r0_pn(path, 1), 1, slice(None)),
+                 (ri.r_tilde_2n(path), 2, slice(None, None, 2))]
+        for (stat, p, window), kind in zip(cases, ("psi", "psi", "psi0", "psi")):
+            coeffs = ri.make_binomial_filter(p).coeffs
+            with np.errstate(over="ignore"):
+                d = ri.filtered_increment_array(values, coeffs)[window]
+                assert not math.isfinite(d @ d)
+            blocks = [d[j:j + self.BLOCK + 1] for j in range(0, d.size - 1, self.BLOCK)]
+            assert all(math.isfinite(b @ b) for b in blocks)
+            value, terms, zeros = summary_ref(values, coeffs, kind, window)
+            assert (stat.value, stat.terms, stat.zero_over_zero) == (value, terms, zeros)
+
+    def test_scratch_memory_independent_of_length(self):
+        path = path_of(np.cumsum(np.random.default_rng(91).standard_normal(2**20 + 1)))
+        tracemalloc.start()
+        try:
+            ri.r_pn(path, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # the whole-path increments alone take 8 MiB
