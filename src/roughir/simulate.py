@@ -205,14 +205,6 @@ class MbmSampler:
         out[1:] = self._L @ z
         return SampledPath(out)
 
-    def sample_paths(self, rng, reps):
-        """(reps, n+1) array of independent draws sharing the factor."""
-        z = rng.standard_normal((self.n, reps))
-        out = np.empty((reps, self.n + 1))
-        out[:, 0] = 0.0
-        out[:, 1:] = (self._L @ z).T
-        return out
-
 
 def sim_mbm(n, H, seed, max_n=MBM_DEFAULT_MAX_N):
     """One multifractional Brownian path with exponent function H (any form

@@ -42,8 +42,10 @@ class IRSummary:
 
 
 def psi(x, y):
-    """|x+y| / (|x|+|y|), with 0/0 := 1.  Total, 0-homogeneous, in [0,1]."""
-    return float(psi_terms(np.array([x], float), np.array([y], float), "psi")[0][0])
+    """|x+y| / (|x|+|y|), with 0/0 := 1.  Total for finite x and y,
+    0-homogeneous, in [0,1]."""
+    xy = _fitted(np.array([[x], [y]], float), 2.0)
+    return float(psi_terms(xy[0], xy[1], "psi")[0][0])
 
 
 def psi0(x, y):
@@ -59,7 +61,8 @@ def psi_terms(x, y, kind):
     Returns (terms, count of pairs where x and y both vanish): the 0/0
     terms for psi, the both-zero pairs for psi0.  |x+y| and |x|+|y| are
     formed in place; the 0/0 terms, exactly those with |x|+|y| == 0, are
-    then set to 1.
+    then set to 1.  psi needs |x|+|y| finite for finite x and y; _fitted
+    scales inputs that could overflow.
     """
     if kind == "psi":
         den = np.abs(x)
@@ -80,6 +83,18 @@ def psi_terms(x, y, kind):
     return t, int(np.count_nonzero((x == 0.0) & (y == 0.0)))
 
 
+def _fitted(v, growth):
+    """v scaled by a power of two that keeps growth * max|v| below 2^1022;
+    v itself when it is already below.
+
+    A sum of at most growth such magnitudes, such as an increment or
+    |x|+|y|, then stays finite; psi and psi0 are 0-homogeneous, so their
+    terms do not change.
+    """
+    k = math.frexp(float(np.abs(v).max()))[1] + math.frexp(growth)[1] - 1022
+    return np.ldexp(v, -k) if k > 0 else v
+
+
 # Exact summation by error-free extraction (Rump, Ogita & Oishi, "Accurate
 # floating-point summation, part I", SIAM J. Sci. Comput. 2008).  Terms are
 # split in blocks of _BLOCK; 2^_M >= _BLOCK + 2 makes every extracted part's
@@ -94,14 +109,14 @@ def _extract(b, q, kept):
     """Append exact partial sums of the block b to kept; their exact sum is
     sum(b).
 
-    Works in place on b, at most _BLOCK terms that must be finite and below
+    Works in place on b, up to _BLOCK terms that must be finite and below
     2^1000 in magnitude; q is scratch of b's size.  With |b_i| <= 2^e and
     sigma = 2^(_M+e), the part q = (b + sigma) - sigma of each term is a
     multiple of 2^-53 sigma and at most 2^e, so the numpy sum of q is exact;
     b - q is exact and at most 2^-53 sigma, which starts the next level.  A
     remainder still left below _TINY is kept term by term.
     """
-    top = float(np.abs(b, out=q).max())
+    top = float(np.abs(b, out=q).max(initial=0.0))
     if top == 0.0:
         return
     sigma = math.ldexp(1.0, _M + math.frexp(top)[1])
@@ -118,68 +133,36 @@ def _extract(b, q, kept):
             return
 
 
-def _exact_sum(t):
-    """Correctly rounded sum of t: math.fsum(t), bit for bit.
-
-    Works in place on t, whose terms must be finite and below 2^1000 in
-    magnitude.  math.fsum only combines the few dozen exact partial sums
-    that _extract keeps per block of _BLOCK terms.
-    """
-    kept = []
-    scratch = np.empty(min(t.size, _BLOCK))
-    for lo in range(0, t.size, _BLOCK):
-        b = t[lo:lo + _BLOCK]
-        _extract(b, scratch[:b.size], kept)
-    return math.fsum(kept)
-
-
 def _summary(values, coeffs, kind, window=slice(None)):
     """Mean of psi/psi0 over consecutive pairs of the filtered increments
     of values selected by window.
 
-    psi and psi0 are 0-homogeneous, so when some block holds an increment
-    too large for psi, the whole path is scaled by a power of two that keeps
-    every increment below 2^1022, and so |x| + |y| and x + y finite, and
-    walked again.
+    The pairs are walked in blocks of _BLOCK.  Each block forms its
+    increments (one more than its pairs), its terms and their exact partial
+    sums while they are in cache, so the scratch memory is O(_BLOCK)
+    whatever the path length.  A block holding an increment too large for
+    psi forms its increments again from its values scaled by _fitted.
     """
     sel = range(values.size - len(coeffs) + 1)[window]
-    with np.errstate(over="ignore", invalid="ignore"):
-        walked = _walk(values, coeffs, kind, sel, checked=True)
-        if walked is None:
-            k = (math.frexp(float(np.abs(values).max()))[1]
-                 + math.frexp(float(np.abs(coeffs).sum()))[1] - 1022)
-            walked = _walk(np.ldexp(values, -max(k, 0)), coeffs, kind, sel, checked=False)
-    kept, zero_count = walked
-    terms = len(sel) - 1
-    # fsum of the exact partial sums is the correctly rounded sum of all
-    # terms, so the value does not depend on the blocks
-    return IRSummary(value=min(math.fsum(kept) / terms, 1.0), terms=terms,
-                     zero_over_zero=zero_count)
-
-
-def _walk(values, coeffs, kind, sel, checked):
-    """Exact partial sums and 0/0 count of the terms over the pairs of
-    increments at the indices sel, in blocks of _BLOCK pairs.
-
-    Each block forms its increments (one more than its pairs), its terms
-    and their partial sums while they are in cache, so the scratch memory
-    is O(_BLOCK) whatever the path length.  Returns None when checked and
-    some block has an increment too large for psi.
-    """
     q = len(coeffs) - 1
     pairs = len(sel) - 1
     kept, zero_count = [], 0
     scratch = np.empty(min(pairs, _BLOCK))
-    for j in range(0, pairs, _BLOCK):
-        k = min(j + _BLOCK, pairs)
-        d = filtered_increment_array(values[sel[j]:sel[k] + q + 1], coeffs, sel.step)
-        # d @ d is finite only if every |d_k| < 2^512, far from overflow in psi
-        if checked and not math.isfinite(d @ d):
-            return None
-        terms, zeros = psi_terms(d[:-1], d[1:], kind)
-        zero_count += zeros
-        _extract(terms, scratch[:terms.size], kept)
-    return kept, zero_count
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, pairs, _BLOCK):
+            v = values[sel[j]:sel[min(j + _BLOCK, pairs)] + q + 1]
+            d = filtered_increment_array(v, coeffs, sel.step)
+            # d @ d is finite only if every |d_k| < 2^512, far from overflow in psi
+            if not math.isfinite(d @ d):
+                growth = float(np.abs(coeffs).sum())
+                d = filtered_increment_array(_fitted(v, growth), coeffs, sel.step)
+            terms, zeros = psi_terms(d[:-1], d[1:], kind)
+            zero_count += zeros
+            _extract(terms, scratch[:terms.size], kept)
+    # fsum of the exact partial sums is the correctly rounded sum of all
+    # terms, so the value does not depend on the blocks
+    return IRSummary(value=min(math.fsum(kept) / pairs, 1.0), terms=pairs,
+                     zero_over_zero=zero_count)
 
 
 def _filtered_summary(path, a, kind):

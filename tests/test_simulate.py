@@ -93,7 +93,7 @@ class TestMbm:
         # Var X_t = t^(2 H(t)) under the adopted normalization
         n, reps = 64, 4000
         sampler = ri.MbmSampler(n, lambda t: 0.3 + 0.4 * t)
-        draws = sampler.sample_paths(ri.derive_rng(50), reps)
+        draws = np.array([sampler.sample_path(ri.derive_rng(50, i)).values for i in range(reps)])
         t = np.arange(1, n + 1) / n
         want = t ** (2 * (0.3 + 0.4 * t))
         got = draws[:, 1:].var(axis=0)

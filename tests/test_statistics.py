@@ -10,7 +10,7 @@ import roughir as ri
 from roughir.errors import DomainError, SizeError
 from roughir.statistics import psi_terms
 
-from .oracles import psi0_ref, psi_ref, summary_ref
+from .oracles import filtered_increment_ref, psi0_ref, psi_ref, summary_ref
 
 
 def path_of(values):
@@ -36,6 +36,22 @@ class TestPsi:
         rng = np.random.default_rng(0)
         for x, y in rng.standard_cauchy((200, 2)):
             assert 0.0 <= ri.psi(x, y) <= 1.0
+
+    def test_sum_of_magnitudes_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ri.psi(1e308, 1e308) == 1.0
+            assert ri.psi(1.5e308, -1e308) == 0.2
+            assert ri.psi(-1e308, -1.7e308) == 1.0
+
+    def test_scale_invariance_up_to_overflow(self):
+        rng = np.random.default_rng(3)
+        pairs = rng.uniform(0.5, 4.0, (6, 2)) * rng.choice([-1.0, 1.0], (6, 2))
+        for x, y in [(1.5, -1.0), (1.0, 1.0), (-1.0, -1.7), (3.0, 0.0), *pairs]:
+            base = ri.psi(x, y)
+            k_max = 1024 - max(math.frexp(x)[1], math.frexp(y)[1])  # largest finite scale
+            for k in range(-1000, k_max + 1):
+                assert ri.psi(math.ldexp(x, k), math.ldexp(y, k)) == base, (x, y, k)
 
     def test_psi0(self):
         assert ri.psi0(2.0, 3.0) == 1.0
@@ -403,9 +419,30 @@ class TestBlockWalk:
         assert np.array_equal(t, expected, equal_nan=True)
         assert zeros == 4  # the pairs of signed zeros
 
+    def test_overflowing_block_is_scaled_alone(self):
+        # block 0's increments overflow and block 2's are subnormal: scaling
+        # the whole path by 2^-5, as for block 0, would round block 2's
+        B, coeffs = self.BLOCK, ri.make_binomial_filter(2).coeffs
+        rng = np.random.default_rng(92)
+        n = 3 * B + 5
+        values = np.cumsum(rng.standard_normal(n + 1))
+        values[:B] = rng.uniform(1.6e308, 1.7e308, B) * rng.choice([-1.0, 1.0], B)
+        values[2 * B:] = np.ldexp(rng.integers(-2**13, 2**13, n + 1 - 2 * B), -1074)
+        got = ri.r_pn(path_of(values), 2)
+        # each block of pairs with its increments' values, block 0 at 2^-5
+        blocks = [np.ldexp(values[:B + 3], -5), values[B:2 * B + 3], values[2 * B:]]
+        terms = []
+        for v in blocks:
+            v = v.tolist()
+            d = [filtered_increment_ref(v, coeffs.tolist(), j) for j in range(len(v) - 2)]
+            terms += [psi_ref(x, y) for x, y in zip(d[:-1], d[1:])]
+        assert got.terms == len(terms) == n - 2
+        assert got.value == math.fsum(terms) / (n - 2)
+        assert got.value != summary_ref(np.ldexp(values, -5), coeffs, "psi")[0]
+
     def test_only_whole_path_sum_of_squares_overflows(self):
-        # 2^20 increments near 2^502: every block's d @ d is finite, the whole
-        # path's is not
+        # 2^20 increments near 2^502: every block's d @ d is finite, so no
+        # block is scaled, though the whole path's d @ d is not finite
         rng = np.random.default_rng(90)
         inc = np.ldexp(rng.choice([-1.0, 1.0], 2**20) * rng.uniform(1.0, 1.4, 2**20), 502)
         values = np.concatenate([[0.0], np.cumsum(inc)])
