@@ -14,11 +14,11 @@ import sys
 import numpy as np
 
 from . import tableio
-from .errors import InterpolationError, RangeError, RoughIRError
+from .errors import RangeError, RoughIRError
 from .experiments import EXPERIMENT_NAMES, EXPERIMENTS, run_experiment
 from .gaussian import estimate_H, invert_Lambda2
 from .pathio import _atomic_write, read_path, write_path
-from .simulate import DIFFUSION_PRESETS, SIM_KINDS, SimSpec, simulate, simulator
+from .simulate import DIFFUSION_PRESETS, SIM_KINDS, TREND_PRESETS, SimSpec, simulate, simulator
 from .stable import estimate_alpha
 from .statistics import r_local, r_pn, r_tilde_2n
 
@@ -28,12 +28,6 @@ EXIT_OK, EXIT_VERDICT, EXIT_USAGE = 0, 1, 2
 # and the replication counts below which a `roughir tables` build warns
 AUTO = {"gaussian": dict(reps=300, path_len=2048), "stable": dict(reps=200_000)}
 PRODUCTION_REPS = {"gaussian": 1000, "stable": 100_000}
-
-TREND_PRESETS = {
-    "none": None,
-    "smooth": (lambda t: 2.0 + np.sin(2.0 * np.pi * t), lambda t: t * t),
-    "linear": (lambda t: 1.0, lambda t: t),
-}
 
 
 def _accepted(fn, **given):
@@ -53,10 +47,10 @@ def _load_or_build(kind, args):
         return tableio.KINDS[kind].load(fn)
     if args.strict:
         raise RoughIRError(f"--strict given but no prebuilt {kind} table at {fn}")
-    print(f"warning: no prebuilt {kind} table at {fn}; using a reduced one with seed "
-          f"{args.seed}, building it on first use and caching it in {d} "
+    print(f"warning: no prebuilt {kind} table at {fn}; using a reduced one, "
+          f"building it on first use and caching it in {d} "
           "(run `roughir tables` for full precision)", file=sys.stderr)
-    return tableio.cached_table(kind, d, seed=args.seed, **AUTO[kind])
+    return tableio.cached_table(kind, d, **AUTO[kind])
 
 
 def _print_summary(stat, out):
@@ -87,7 +81,7 @@ def cmd_estimate(args):
     if args.method == "hurst":
         try:
             est = estimate_H(path, _load_or_build("gaussian", args), conf=args.confidence)
-        except (RangeError, InterpolationError) as e:
+        except RangeError as e:
             return _verdict_failure(out, e)
         out += [f"h_hat={est.h_hat:.6f}", f"stderr={est.stderr:.6f}",
                 f"ci_low={est.ci_low:.6f}", f"ci_high={est.ci_high:.6f}",
@@ -202,7 +196,7 @@ def cmd_tables(args):
     if table.reps < PRODUCTION_REPS[args.kind]:
         print(f"warning: {table.reps} replications is low for a production table",
               file=sys.stderr)
-    print(f"wrote {fn} (kind={args.kind}, reps={table.reps}, seed={args.seed})")
+    print(f"wrote {fn} (kind={args.kind}, reps={table.reps}, seed={table.seed})")
     return EXIT_OK
 
 
@@ -236,7 +230,6 @@ def build_parser():
     est.add_argument("--window", type=float, default=0.6,
                      help="window exponent for method=local")
     est.add_argument("--confidence", type=float, default=0.95)
-    est.add_argument("--seed", type=int, default=0, help="seed for auto-built tables")
     est.add_argument("--strict", action="store_true",
                      help="fail instead of auto-building missing tables")
     est.add_argument("--out", default=None)
@@ -264,7 +257,7 @@ def build_parser():
     tab.add_argument("--kind", choices=("gaussian", "stable"), required=True)
     tab.add_argument("--reps", type=int, default=None)
     tab.add_argument("--path-len", type=int, default=None)
-    tab.add_argument("--seed", type=int, default=20240601)
+    tab.add_argument("--seed", type=int, default=None, help="default: the builder's seed")
     tab.add_argument("--out", default=None)
     tab.set_defaults(func=cmd_tables)
 

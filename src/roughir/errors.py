@@ -25,8 +25,8 @@ class RangeError(RoughIRError, ValueError):
         self.high = high
 
 
-class InterpolationError(RoughIRError, ValueError):
-    """A lookup fell outside the grid of a precomputed table."""
+class InterpolationError(RangeError):
+    """A lookup fell outside a precomputed table's grid, whose ends are low and high."""
 
 
 class ParseError(RoughIRError, ValueError):

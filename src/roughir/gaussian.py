@@ -281,6 +281,15 @@ def _pchip(x, y):
 H_GRID_DEFAULT = np.round(np.arange(0.05, 0.9501, 0.05), 10)
 
 
+def _grid(values, default, name, least):
+    """A builder's grid (default if values is None): 1-D, strictly increasing, >= least points."""
+    grid = default if values is None else np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size < least or not np.all(np.diff(grid) > 0):
+        raise DomainError(f"{name} grid must hold at least {least} strictly increasing "
+                          f"point(s), got {grid.tolist()}")
+    return grid
+
+
 @dataclass(frozen=True)
 class VarianceTable:
     """Monte Carlo table of the asymptotic variances on an H grid.
@@ -326,8 +335,8 @@ class VarianceTable:
         grid, interp = self._curves[p]
         if not grid[0] <= H <= grid[-1]:
             raise InterpolationError(
-                f"H={H:.4f} outside the tabulated grid [{grid[0]}, {grid[-1]}] for p={p}"
-            )
+                f"H={H:.4f} outside the tabulated grid [{grid[0]}, {grid[-1]}] for p={p}",
+                low=float(grid[0]), high=float(grid[-1]))
         return interp(H)
 
     def entry(self, p, H):
@@ -348,7 +357,7 @@ def build_variance_table(reps=2000, path_len=4096, seed=20240601,
     Every (p, H) cell gets its own derived seed, so the table is
     reproducible and independent of build order.
     """
-    grid = H_GRID_DEFAULT if h_grid is None else np.asarray(h_grid, dtype=float)
+    grid = _grid(h_grid, H_GRID_DEFAULT, "H", least=1)
     s1 = np.full(grid.size, np.nan)
     s1e = np.full(grid.size, np.nan)
     s2 = np.empty(grid.size)
@@ -381,7 +390,6 @@ class HurstEstimate:
     ci_low: float
     ci_high: float
     statistic: IRSummary
-    n: int
     confidence: float
 
 
@@ -399,5 +407,4 @@ def estimate_H(path, variance_table, conf=0.95):
     sigma2 = variance_table.sigma(2, h_hat)
     se = math.sqrt(s2_sq(h_hat, sigma2)) / math.sqrt(path.n)
     return HurstEstimate(h_hat=h_hat, stderr=se, ci_low=h_hat - z * se,
-                         ci_high=h_hat + z * se, statistic=stat, n=path.n,
-                         confidence=conf)
+                         ci_high=h_hat + z * se, statistic=stat, confidence=conf)

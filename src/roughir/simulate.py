@@ -22,7 +22,7 @@ from .increments import SampledPath
 from .rng import derive_rng
 from .stable import sample_sym_stable
 
-MBM_DEFAULT_MAX_N = 8192  # dense factorization is O(n^3); cap unless overridden
+MBM_MAX_N = 8192  # dense factorization is O(n^3)
 _MBM_COV_BLOCK = 512  # rows per block in mbm_covariance
 _EULER_CHUNK = 4096  # fine Euler steps drawn per replication at a time
 MAX_EXPECTED_JUMPS = 2**24  # per path and jump kind: a draw's peak memory stays near 0.5 GB
@@ -79,8 +79,9 @@ class FbmSampler:
         self.H = float(H)
         self._amp = _fgn_amplitudes(self.n, self.H)
 
-    def sample_fgn(self, rng):
-        """One length-n draw of unit-lag fractional Gaussian noise."""
+    def sample_path(self, rng):
+        """fBm on the grid j/n: one length-n draw of unit-lag fractional
+        Gaussian noise, scaled by n^-H and cumulated, X_0 = 0."""
         n = self.n
         m = 2 * n
         ab = rng.standard_normal(2)
@@ -90,12 +91,7 @@ class FbmSampler:
         c[0] = amp[0] * ab[0]
         c[n] = amp[n] * ab[1]
         c[1:n] = amp[1:n] * (uv[:, 0] + 1j * uv[:, 1])
-        return np.fft.irfft(c, n=m)[:n] * math.sqrt(m)
-
-    def sample_path(self, rng):
-        """fBm on the grid j/n: cumulated fGn scaled by n^-H, X_0 = 0."""
-        inc = self.sample_fgn(rng) * self.n ** (-self.H)
-        return _path_from_increments(inc)
+        return _path_from_increments(np.fft.irfft(c, n=m)[:n] * math.sqrt(m) * n ** (-self.H))
 
 
 def sim_fbm(n, H, seed):
@@ -156,16 +152,14 @@ class MbmSampler:
     a constant, one value per grid point j/n (j = 1..n), or (t, H) knot
     rows interpolated linearly.  The Cholesky factor is computed once
     (with jitter retries on numerically indefinite input) and reused for
-    every draw.  Cost is O(n^3)/O(n^2); n is capped at 8192 by default.
+    every draw.  Cost is O(n^3)/O(n^2); n is capped at MBM_MAX_N.
     """
 
-    def __init__(self, n, H, max_n=MBM_DEFAULT_MAX_N):
+    def __init__(self, n, H):
         if n < 2:
             raise SizeError(f"need grid size n >= 2, got {n}")
-        if n > max_n:
-            raise SizeError(
-                f"dense mBm synthesis capped at n={max_n} (got {n}); raise max_n to override"
-            )
+        if n > MBM_MAX_N:
+            raise SizeError(f"dense mBm synthesis capped at n={MBM_MAX_N} (got {n})")
         self.n = int(n)
         t = np.arange(1, n + 1) / n
         h = np.asarray([H(tt) for tt in t] if callable(H) else H, dtype=float)
@@ -206,10 +200,10 @@ class MbmSampler:
         return SampledPath(out)
 
 
-def sim_mbm(n, H, seed, max_n=MBM_DEFAULT_MAX_N):
+def sim_mbm(n, H, seed):
     """One multifractional Brownian path with exponent function H (any form
     MbmSampler takes)."""
-    return MbmSampler(n, H, max_n=max_n).sample_path(derive_rng(seed, "mbm"))
+    return MbmSampler(n, H).sample_path(derive_rng(seed, "mbm"))
 
 
 # ----------------------------------------------------------------------
@@ -447,6 +441,14 @@ def sim_levy_compound(n, a_weight=0.0, seed=0, *, rate=0.0, jump_scale=1.0,
 # ----------------------------------------------------------------------
 # trends and the declarative front end
 # ----------------------------------------------------------------------
+
+TREND_PRESETS = {
+    # (alpha(t), beta(t)) pairs for apply_trend, by name; "none" applies no trend
+    "none": None,
+    "smooth": (lambda t: 2.0 + math.sin(2.0 * math.pi * t), lambda t: t * t),
+    "linear": (lambda t: 1.0, lambda t: t),
+}
+
 
 def apply_trend(path, alpha_func, beta_func):
     """Pointwise Z(j/n) = alpha(j/n) * X(j/n) + beta(j/n); alpha must be > 0."""

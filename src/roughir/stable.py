@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, RangeError, SizeError
-from .gaussian import _normal_quantile, _pchip
+from .gaussian import _grid, _normal_quantile, _pchip
 from .rng import derive_rng
 from .statistics import IRSummary, psi_terms, r_tilde_2n
 
@@ -151,10 +151,7 @@ def build_stable_table(reps=1_000_000, seed=20240602, alpha_grid=None, progress=
     """
     if reps < 10_000:  # the 40-batch stderr of _psi_moments
         raise SizeError(f"need at least 1e4 replications, got {reps}")
-    grid = ALPHA_GRID_DEFAULT if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-        raise DomainError(f"alpha grid must hold at least 2 strictly increasing points, "
-                          f"got {grid.tolist()}")
+    grid = _grid(alpha_grid, ALPHA_GRID_DEFAULT, "alpha", least=2)
     rng = derive_rng(seed, "stable_table")
     u = rng.uniform(-math.pi / 2, math.pi / 2, (reps, 3))
     w = rng.exponential(1.0, (reps, 3))
@@ -210,7 +207,6 @@ class AlphaEstimate:
     ci_low: float
     ci_high: float
     statistic: IRSummary
-    n: int
     confidence: float
     clamped: bool = False
 
@@ -237,5 +233,4 @@ def estimate_alpha(path, table, conf=0.95):
     sig = max(table.interp("sigma_sq", a_hat), 0.0)
     se = math.sqrt(sig) / abs(dl) / math.sqrt(path.n)
     return AlphaEstimate(alpha_hat=a_hat, stderr=se, ci_low=a_hat - z * se,
-                         ci_high=a_hat + z * se, statistic=stat, n=path.n,
-                         confidence=conf, clamped=clamped)
+                         ci_high=a_hat + z * se, statistic=stat, confidence=conf, clamped=clamped)

@@ -5,6 +5,7 @@ success).  Monte Carlo criteria are seeded, so outcomes are exactly
 reproducible.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,13 +26,13 @@ def record(num, label, ok, detail=""):
     assert ok, f"criterion {num} ({label}) failed: {detail}"
 
 
-def report_criterion(num, label, rep):
-    for v in rep.verdicts:
-        mark = "PASS" if v.passed else "FAIL"
-        print(f"    [{mark}] {v.name}: observed={v.observed:.6g} "
-              f"target={v.target:.6g} ({v.tolerance})")
-    record(num, label, rep.passed, f"{len(rep.verdicts)} verdicts, "
-           f"{rep.elapsed_s:.1f}s")
+def report_criterion(num, label, rep, keep=lambda verdict: True):
+    """Print the report's verdicts that keep selects and record whether
+    there are any and all of them pass."""
+    part = dataclasses.replace(rep, verdicts=[v for v in rep.verdicts if keep(v)])
+    print("\n".join(part.summary_lines()))
+    record(num, label, bool(part.verdicts) and part.passed,
+           f"{len(part.verdicts)} verdicts, {rep.elapsed_s:.1f}s")
 
 
 @pytest.fixture(scope="module")
@@ -122,25 +123,13 @@ def test_criterion_09_smooth_function_limit():
 
 
 def test_criterion_10_levy_estimator(levy_report):
-    subset = [v for v in levy_report.verdicts if "sign-indicator" not in v.name]
-    ok = all(v.passed for v in subset)
-    for v in subset:
-        mark = "PASS" if v.passed else "FAIL"
-        print(f"    [{mark}] {v.name}: observed={v.observed:.6g} "
-              f"target={v.target:.6g} ({v.tolerance})")
-    record(10, "stable-index estimator CLT", ok,
-           f"{len(subset)} verdicts, {levy_report.elapsed_s:.1f}s")
+    report_criterion(10, "stable-index estimator CLT", levy_report,
+                     lambda v: "sign-indicator" not in v.name)
 
 
 def test_criterion_11_zero_crossing_contrast(levy_report):
-    subset = [v for v in levy_report.verdicts if "sign-indicator" in v.name]
-    ok = bool(subset) and all(v.passed for v in subset)
-    for v in subset:
-        mark = "PASS" if v.passed else "FAIL"
-        print(f"    [{mark}] {v.name}: observed={v.observed:.6g} "
-              f"target={v.target:.6g} ({v.tolerance})")
-    record(11, "zero-crossing statistic ignores alpha", ok,
-           f"{len(subset)} verdicts")
+    report_criterion(11, "zero-crossing statistic ignores alpha", levy_report,
+                     lambda v: "sign-indicator" in v.name)
 
 
 def test_criterion_12_mbm_mean_exponent():

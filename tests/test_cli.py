@@ -145,15 +145,20 @@ class TestSimulate:
 @pytest.mark.parametrize("argv", [
     ["--table-dir", "{d}", "tables", "--kind", "stable", "--reps", "10000", "--seed", "-5"],
     ["experiment", "--name", "trend-robustness", "--seed", "-1", "--n", "64", "--reps", "2"],
-    ["--table-dir", "{d}", "estimate", "--input", "{d}/p.tsv", "--seed", "-1"],
-], ids=["tables", "experiment", "estimate"])
+], ids=["tables", "experiment"])
 def test_negative_seed_usage_error(tmp_path, capsys, argv):
-    # estimate has no table in {d}, so it derives a fallback table's seeds
-    ri.write_path(ri.sim_fbm(64, 0.5, 1), str(tmp_path / "p.tsv"))
     assert run(*[a.format(d=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert "error: seeds and derivation keys must be nonnegative" in err
     assert "Traceback" not in err
+
+
+def test_estimate_takes_no_seed(tmp_path, capsys):
+    # a fallback table is built with its builder's seed, so estimate has none
+    ri.write_path(ri.sim_fbm(64, 0.5, 1), str(tmp_path / "p.tsv"))
+    assert run("--table-dir", str(tmp_path), "estimate", "--input",
+               str(tmp_path / "p.tsv"), "--seed", "1") == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_jump_count_above_cap_usage_error(tmp_path, capsys):
@@ -266,6 +271,23 @@ class TestEstimate:
         assert not (d / "stable.tsv").exists()
         assert len(list(d.iterdir())) == 1
 
+    def test_fallback_table_shared_by_every_command_and_seed(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.setitem(cli.AUTO, "stable", dict(reps=20_000))
+        d = tmp_path / "tables"
+        for seed in ("1", "2"):
+            assert run("--table-dir", str(d), "experiment", "--name", "levy-clt",
+                       "--seed", seed, "--n", "64", "--reps", "2",
+                       "--alpha-list", "1.2") in (0, 1)
+        f = tmp_path / "p.tsv"
+        ri.write_path(ri.sim_levy_stable(1024, 1.2, seed=3), str(f), kind="levy_stable")
+        assert run("--table-dir", str(d), "estimate", "--input", str(f),
+                   "--method", "alpha") == 0
+        assert "with seed" not in capsys.readouterr().err
+        (cached,) = d.iterdir()
+        assert cached.name.startswith("stable-reps20000-")
+        assert "# seed=20240602" in cached.read_text().splitlines()
+
 
 class TestTables:
     def test_rebuild_identical(self, tmp_path):
@@ -274,6 +296,12 @@ class TestTables:
             assert run("tables", "--kind", "stable", "--reps", "20000",
                        "--seed", "9", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_default_seed_is_the_builders(self, tmp_path, capsys):
+        out = tmp_path / "s.tsv"
+        assert run("tables", "--kind", "stable", "--reps", "20000", "--out", str(out)) == 0
+        assert "# seed=20240602" in out.read_text().splitlines()
+        assert "seed=20240602)" in capsys.readouterr().out
 
     def test_out_elsewhere_creates_no_table_dir(self, tmp_path, monkeypatch):
         work = tmp_path / "work"

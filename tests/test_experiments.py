@@ -1,6 +1,7 @@
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 import roughir as ri
@@ -9,8 +10,7 @@ from roughir.experiments import (exp_clt_fbm, exp_diffusion_rate,
                                  exp_smooth_limit, exp_trend_robustness,
                                  run_experiment)
 
-NOTES = {"diffusion-rate": {"sde"}, "trend-robustness": {"trend"},
-         "smooth-limit": {"f"}, "local-mbm": {"linear_fit"}}
+NOTES = {"diffusion-rate": {"sde"}, "trend-robustness": {"trend"}, "smooth-limit": {"f"}}
 
 
 def assert_config_echoes_arguments(rep, fn, table=None, **given):
@@ -110,9 +110,24 @@ class TestSmallScaleRuns:
         assert any("slope" in n for n in names)
         assert any("decreasing" in n for n in names)
 
-    def test_local_mbm_small(self, variance_table):
+    def test_local_mbm_small(self):
         rep = exp_local_mbm(n=2048, reps=60, seed=14, mean_tol=0.1,
                             order_frac=0.8)
         assert rep.passed
         assert_config_echoes_arguments(rep, exp_local_mbm, n=2048, reps=60, seed=14,
                                        mean_tol=0.1, order_frac=0.8)
+
+    def test_local_mbm_grades_against_the_mean_limit(self):
+        # invert_Lambda2 of the Gauss-Legendre mean of Lambda_2(0.3 + 0.4 t)
+        rep = exp_local_mbm(n=256, reps=4, seed=14)
+        verdict = rep.verdicts[0]
+        assert verdict.target == pytest.approx(0.502933, abs=1e-6)
+        assert verdict.observed == ri.invert_Lambda2(np.mean(rep.replications["R2"]))
+        assert rep.aggregates["hbar"] == verdict.observed
+
+    def test_local_mbm_mean_beyond_the_limit_range_reads_as_the_end(self):
+        # at n=256 the mean R for H near 1 exceeds Lambda_2(1-), which no H attains
+        rep = exp_local_mbm(n=256, reps=8, seed=3, h_span=(0.9, 0.99))
+        assert np.mean(rep.replications["R2"]) > ri.Lambda_p(2, 0.999999)
+        assert rep.verdicts[0].observed == rep.aggregates["hbar"] == 1.0
+        assert not rep.verdicts[0].passed

@@ -267,6 +267,29 @@ class TestVarianceTable:
         with pytest.raises(InterpolationError):
             variance_table.sigma(1, 0.9)  # p=1 grid stops below 3/4
 
+    def test_out_of_grid_estimate_is_range_error_with_grid_ends(self, variance_table):
+        # fBm at H=0.97 and n=8192 inverts to h_hat = 0.9765, past the grid's 0.95
+        with pytest.raises(RangeError, match="outside the tabulated grid") as exc:
+            ri.estimate_H(ri.sim_fbm(8192, 0.97, seed=0), variance_table)
+        assert isinstance(exc.value, InterpolationError)
+        assert (exc.value.low, exc.value.high) == (0.05, 0.95)
+
+    @pytest.mark.parametrize("grid", [[0.6, 0.4], [0.4, 0.4, 0.6], [[0.4, 0.6]]],
+                             ids=["decreasing", "repeated", "2-D"])
+    def test_unusable_grid_rejected_before_any_draw(self, grid, monkeypatch):
+        draws = []
+        sample_path = ri.FbmSampler.sample_path
+        monkeypatch.setattr(ri.FbmSampler, "sample_path",
+                            lambda self, rng: draws.append(1) or sample_path(self, rng))
+        with pytest.raises(DomainError, match="strictly increasing"):
+            ri.build_variance_table(reps=100, path_len=64, seed=1, h_grid=grid)
+        assert draws == []
+
+    def test_one_point_grid_builds(self):
+        table = ri.build_variance_table(reps=100, path_len=64, seed=1, h_grid=[0.5])
+        assert table.h_grid.tolist() == [0.5]
+        assert table.entry(2, 0.5)[0] > 0
+
     @pytest.mark.parametrize("grid, sigma1", [([0.8, 0.9], [np.nan, np.nan]),
                                               ([0.7, 0.8], [0.3, np.nan])])
     def test_missing_curve_is_interpolation_error(self, grid, sigma1):
