@@ -33,7 +33,7 @@ print("\nordering holds on almost every path: the rough end stays rough.")
 sampler = ri.MbmSampler(n, h_func)
 ordered = 0
 reps = 50
-for i in range(reps):
-    p = sampler.sample_path(ri.derive_rng(606, i))
+for values in sampler.sample_paths([ri.derive_rng(606, i) for i in range(reps)]):
+    p = ri.SampledPath(values)
     ordered += ri.r_local(p, 0.2, 0.8).value < ri.r_local(p, 0.8, 0.8).value
 print(f"local statistic at t0=0.2 below t0=0.8 in {ordered}/{reps} replications")

@@ -42,6 +42,7 @@ class ExperimentReport:
     aggregates: dict = field(default_factory=dict)
     replications: dict = field(default_factory=dict)  # column name -> list
     elapsed_s: float = 0.0
+    phase_s: dict = field(default_factory=dict)  # seconds per phase; not part of the results
     started: float = field(default_factory=time.perf_counter, repr=False)
 
     @classmethod
@@ -83,6 +84,7 @@ class ExperimentReport:
             "verdicts": [asdict(v) for v in self.verdicts],
             "aggregates": self.aggregates,
             "elapsed_s": round(self.elapsed_s, 3),
+            "phase_s": {k: round(v, 3) for k, v in self.phase_s.items()},
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -311,21 +313,26 @@ def exp_local_mbm(n=8192, reps=200, seed=1006, h_span=(0.3, 0.7),
     rep = ExperimentReport.start("local-mbm", locals())
     h0, h1 = h_span
     h_of_t = lambda t: h0 + (h1 - h0) * t
-    sampler = MbmSampler(n, h_of_t)
     # R^{2,n} tends to the mean of Lambda_2(H(t)) on [0, 1]: pair k's tangent is fBm with H(k/n)
     x, wts = np.polynomial.legendre.leggauss(40)
     limit = 0.5 * float(wts @ [Lambda_p(2, h_of_t(0.5 * (xi + 1.0))) for xi in x])
     hbar_target = invert_Lambda2(limit)
+    start = time.perf_counter()
+    sampler = MbmSampler(n, h_of_t)
+    built = time.perf_counter()
+    paths = sampler.sample_paths([derive_rng(seed, "experiment", 6, i) for i in range(reps)])
+    drawn = time.perf_counter()
     r2 = np.empty(reps)
     ordered = 0
     lo_col, hi_col = np.empty(reps), np.empty(reps)
-    for i in range(reps):
-        rng = derive_rng(seed, "experiment", 6, i)
-        path = sampler.sample_path(rng)
+    for i, values in enumerate(paths):
+        path = SampledPath(values)
         r2[i] = r_pn(path, 2).value
         lo_col[i] = r_local(path, t0s[0], w).value
         hi_col[i] = r_local(path, t0s[1], w).value
         ordered += lo_col[i] < hi_col[i]
+    rep.phase_s = {"sampler": built - start, "draws": drawn - built,
+                   "statistics": time.perf_counter() - drawn}
     rep.replications["R2"] = r2.tolist()
     rep.replications[f"local_t{t0s[0]}"] = lo_col.tolist()
     rep.replications[f"local_t{t0s[1]}"] = hi_col.tolist()

@@ -23,7 +23,8 @@ from .rng import derive_rng
 from .stable import sample_sym_stable
 
 MBM_MAX_N = 8192  # dense factorization is O(n^3)
-_MBM_COV_BLOCK = 512  # rows per block in mbm_covariance
+_MBM_TILE = 32  # rows per tile of the mBm covariance: scratch about 8 tiles
+_MBM_DRAW_WIDTH = 64  # stacked normals per product with the mBm factor
 _EULER_CHUNK = 4096  # fine Euler steps drawn per replication at a time
 MAX_EXPECTED_JUMPS = 2**24  # per path and jump kind: a draw's peak memory stays near 0.5 GB
 
@@ -84,14 +85,26 @@ class FbmSampler:
         Gaussian noise, scaled by n^-H and cumulated, X_0 = 0."""
         n = self.n
         m = 2 * n
-        ab = rng.standard_normal(2)
-        uv = rng.standard_normal((n - 1, 2))
-        c = np.empty(n + 1, dtype=complex)
+        # the spectrum is freed when irfft returns, before the path's arrays exist
+        inc = np.fft.irfft(self._spectrum(rng), n=m)[:n]
+        inc *= math.sqrt(m)
+        inc *= n ** (-self.H)
+        return _path_from_increments(inc)
+
+    def _spectrum(self, rng):
+        """The n+1 Fourier modes of one fGn draw: 2n normals, from rng in
+        the order mode 0, mode n, then real and imaginary parts of modes
+        1..n-1, scaled by the amplitudes."""
+        n = self.n
         amp = self._amp
+        ab = rng.standard_normal(2)
+        c = np.empty(n + 1, dtype=complex)
+        modes = c[1:n].view(float).reshape(n - 1, 2)
+        rng.standard_normal(out=modes)
+        modes *= amp[1:n, None]
         c[0] = amp[0] * ab[0]
         c[n] = amp[n] * ab[1]
-        c[1:n] = amp[1:n] * (uv[:, 0] + 1j * uv[:, 1])
-        return _path_from_increments(np.fft.irfft(c, n=m)[:n] * math.sqrt(m) * n ** (-self.H))
+        return c
 
 
 def sim_fbm(n, H, seed):
@@ -117,6 +130,31 @@ def _q1(h):
     return np.pi / (scipy.special.gamma(2.0 * h + 1.0) * np.sin(np.pi * h))
 
 
+def _mbm_upper(C, H):
+    """Fill the tiles of the C-ordered n x n array C that lie on and above
+    its diagonal with the mBm covariance of the exponents H (see
+    mbm_covariance), _MBM_TILE rows at a time, so scratch memory stays
+    O(_MBM_TILE * n).  Entries below the diagonal tiles are not touched.
+    Each entry is formed by operations symmetric in its two indices, so
+    the [i, j] and [j, i] entries would be equal bit for bit."""
+    n = C.shape[0]
+    t = np.arange(1, n + 1) / n
+    g = 1.0 / np.sqrt(2.0 * _q1(H))
+    logt = np.log(t)
+    for i0 in range(0, n, _MBM_TILE):
+        rows, cols = slice(i0, i0 + _MBM_TILE), slice(i0, n)
+        Hb = 0.5 * (H[rows, None] + H[None, cols])
+        E = 2.0 * Hb
+        P = np.exp(E * logt[rows, None])
+        P += np.exp(E * logt[None, cols])
+        D = np.abs(t[rows, None] - t[None, cols])
+        np.power(D, E, out=D)
+        P -= D
+        q = _q1(Hb)
+        q *= g[rows, None] * g[None, cols]
+        np.multiply(q, P, out=C[rows, cols])
+
+
 def mbm_covariance(n, h_values):
     """Harmonizable-representation covariance of mBm on the grid j/n, j=1..n.
 
@@ -126,22 +164,14 @@ def mbm_covariance(n, h_values):
                     * (s^2Hb + t^2Hb - |t-s|^2Hb),
 
     normalized so that Var X_t = t^(2 H(t)) (for constant H this is
-    exactly the fBm covariance).  Built in row blocks to bound memory.
+    exactly the fBm covariance).  Built in tiles on and above the
+    diagonal, then mirrored.
     """
-    t = np.arange(1, n + 1) / n
-    H = np.asarray(h_values, dtype=float)
-    g = 1.0 / np.sqrt(2.0 * _q1(H))
-    logt = np.log(t)
     C = np.empty((n, n))
-    for i0 in range(0, n, _MBM_COV_BLOCK):
-        i1 = min(i0 + _MBM_COV_BLOCK, n)
-        Hb = 0.5 * (H[i0:i1, None] + H[None, :])
-        E = 2.0 * Hb
-        P = np.exp(E * logt[i0:i1, None])
-        Q = np.exp(E * logt[None, :])
-        D = np.abs(t[i0:i1, None] - t[None, :])
-        np.power(D, E, out=D)
-        C[i0:i1] = (_q1(Hb) * (g[i0:i1, None] * g[None, :])) * (P + Q - D)
+    _mbm_upper(C, np.asarray(h_values, dtype=float))
+    for i0 in range(0, n, _MBM_TILE):
+        i1 = i0 + _MBM_TILE
+        C[i1:, i0:i1] = C[i0:i1, i1:].T
     return C
 
 
@@ -172,19 +202,29 @@ class MbmSampler:
                               "point or (t, H) knot rows")
         if not ((h > 0.0) & (h < 1.0)).all():
             raise DomainError("exponent function must map into (0,1) on the grid")
-        self._L = self._factor(mbm_covariance(n, h))
+        self._L = self._factor(h)
 
     @staticmethod
-    def _factor(C):
+    def _factor(h):
+        """Lower Cholesky factor of mbm_covariance(h.size, h), built and
+        factored in one n x n buffer.  The tiles on and above the diagonal
+        of a C-ordered array are the lower triangle of its Fortran-ordered
+        transpose, which LAPACK factors in place.  A failed attempt has
+        overwritten the buffer, so a jitter retry rebuilds it before adding
+        jitter * scale to the diagonal."""
         import scipy.linalg  # local import: only mBm pays for it
 
+        n = h.size
+        C = np.empty((n, n))
+        _mbm_upper(C, h)
         scale = float(np.mean(np.diag(C)))
         jitters = [0.0, 1e-12, 1e-10, 1e-8]
         for j in jitters:
+            if j > 0.0:
+                _mbm_upper(C, h)
+                C.reshape(-1)[::n + 1] += j * scale
             try:
-                if j > 0.0:
-                    C = C + (j * scale) * np.eye(C.shape[0])
-                return scipy.linalg.cholesky(C, lower=True, overwrite_a=(j == 0.0),
+                return scipy.linalg.cholesky(C.T, lower=True, overwrite_a=True,
                                              check_finite=False)
             except np.linalg.LinAlgError:
                 continue
@@ -192,12 +232,29 @@ class MbmSampler:
             f"covariance not positive definite after jitter retries {jitters[1:]}"
         )
 
+    def sample_paths(self, rngs):
+        """(len(rngs), n+1) array whose row i is the path drawn from rngs[i].
+
+        Each path's n normals come from its own generator.  They are stacked
+        as the columns of (n, _MBM_DRAW_WIDTH) blocks, zero-padded, and each
+        block is multiplied by the factor in one product.  Every product has
+        the same shape, so a path's bits do not depend on how many paths
+        share its call or on its column in the block."""
+        rngs = list(rngs)
+        n, width = self.n, _MBM_DRAW_WIDTH
+        out = np.zeros((len(rngs), n + 1))
+        z = np.empty((n, width))
+        for b0 in range(0, len(rngs), width):
+            block = rngs[b0:b0 + width]
+            z[:, len(block):] = 0.0
+            for i, rng in enumerate(block):
+                z[:, i] = rng.standard_normal(n)
+            out[b0:b0 + len(block), 1:] = (self._L @ z)[:, :len(block)].T
+        return out
+
     def sample_path(self, rng):
-        z = rng.standard_normal(self.n)
-        out = np.empty(self.n + 1)
-        out[0] = 0.0
-        out[1:] = self._L @ z
-        return SampledPath(out)
+        """One path: the row sample_paths([rng]) gives."""
+        return SampledPath(self.sample_paths([rng])[0])
 
 
 def sim_mbm(n, H, seed):
@@ -301,16 +358,23 @@ def _euler_paths(n, a_func, b_func, x0, refine, rngs):
     x = np.full(reps, float(x0))
     out = np.empty((reps, n + 1))
     out[:, 0] = x
+    # step terms go to buffers of their own: a_func and b_func may return
+    # x itself or an array they keep, which must not be written to
+    noise, drift = np.empty(reps), np.empty(reps)
     k = 0
     # blow-ups are detected below, once per chunk, instead of warned per step
     with np.errstate(over="ignore", invalid="ignore"):
         while k < steps:
             k0, c = k, min(_EULER_CHUNK, steps - k)
-            z = np.empty((reps, c))
+            z = np.empty((c, reps))
             for i, g in enumerate(rngs):
-                z[i] = g.standard_normal(c)
+                z[:, i] = g.standard_normal(c)
+            z *= sdt
             for jj in range(c):
-                x = x + (a_func(x) * (sdt * z[:, jj]) + b_func(x) * dt)
+                np.multiply(a_func(x), z[jj], out=noise)
+                np.multiply(b_func(x), dt, out=drift)
+                noise += drift
+                x = x + noise
                 k += 1
                 if k % refine == 0:
                     out[:, k // refine] = x

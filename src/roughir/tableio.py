@@ -16,6 +16,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 from collections import namedtuple
 from pathlib import Path
 
@@ -127,7 +128,9 @@ def cached_table(kind, directory, **build):
     saving it there first if missing.  The file name carries the kind,
     every build parameter and a digest of the package sources, so a table
     built by other code or with other settings is never served.  Building
-    deletes the files of the same kind and settings under other digests."""
+    deletes the files of the same kind and settings under other digests,
+    and the <kind>-<settings>-seed<k>-<digest>.tsv files that older code
+    wrote per command seed."""
     tag = "-".join(f"{k}{v}" for k, v in sorted(build.items()))
     fn = os.path.join(directory, f"{kind}-{tag}-{_source_digest()}.tsv")
     if os.path.exists(fn):
@@ -135,7 +138,8 @@ def cached_table(kind, directory, **build):
     table = KINDS[kind].build(**build)
     os.makedirs(directory, exist_ok=True)
     KINDS[kind].save(table, fn)
-    for old in Path(directory).glob(f"{kind}-{tag}-{'[0-9a-f]' * 12}.tsv"):
-        if old.name != os.path.basename(fn):
+    stale = re.compile(re.escape(f"{kind}-{tag}-") + r"(seed[0-9]+-)?[0-9a-f]{12}\.tsv")
+    for old in Path(directory).iterdir():
+        if stale.fullmatch(old.name) and old.name != os.path.basename(fn):
             old.unlink()
     return table

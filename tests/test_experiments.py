@@ -125,6 +125,14 @@ class TestSmallScaleRuns:
         assert verdict.observed == ri.invert_Lambda2(np.mean(rep.replications["R2"]))
         assert rep.aggregates["hbar"] == verdict.observed
 
+    def test_local_mbm_reports_phase_seconds_beside_elapsed(self):
+        rep = exp_local_mbm(n=256, reps=4, seed=14)
+        doc = json.loads(rep.to_json())
+        assert set(doc["phase_s"]) == {"sampler", "draws", "statistics"}
+        assert min(rep.phase_s.values()) >= 0.0
+        assert sum(rep.phase_s.values()) <= rep.elapsed_s
+        assert_config_echoes_arguments(rep, exp_local_mbm, n=256, reps=4, seed=14)
+
     def test_local_mbm_mean_beyond_the_limit_range_reads_as_the_end(self):
         # at n=256 the mean R for H near 1 exceeds Lambda_2(1-), which no H attains
         rep = exp_local_mbm(n=256, reps=8, seed=3, h_span=(0.9, 0.99))

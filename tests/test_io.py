@@ -329,3 +329,16 @@ class TestTableCache:
         tableio.cached_table("stable", str(tmp_path), **self.BUILD)
         fresh = "stable-reps20000-seed4-" + "f" * 12 + ".tsv"
         assert sorted(f.name for f in tmp_path.iterdir()) == sorted(keep + [fresh])
+
+    def test_build_prunes_per_seed_files_of_older_code(self, tmp_path, monkeypatch):
+        keep = ["stable-reps200000-seed0-000000000000.tsv",  # other settings
+                "gaussian-reps20000-seed0-000000000000.tsv",  # other kind
+                "stable-reps20000-seedx-000000000000.tsv"]  # not a seed
+        stale = ["stable-reps20000-seed0-000000000000.tsv",
+                 "stable-reps20000-seed20240602-0123456789ab.tsv"]
+        for name in keep + stale:
+            (tmp_path / name).write_text("x\n")
+        monkeypatch.setattr(tableio, "_source_digest", lambda: "f" * 12)
+        tableio.cached_table("stable", str(tmp_path), reps=20_000)
+        fresh = "stable-reps20000-" + "f" * 12 + ".tsv"
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(keep + [fresh])

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,9 +9,20 @@ import pytest
 import roughir as ri
 from roughir.errors import (DomainError, FactorizationError, ResolutionError,
                             SimulationError, SizeError)
-from roughir.simulate import DIFFUSION_PRESETS, SIM_KINDS, mbm_covariance
+from roughir.simulate import (_EULER_CHUNK, DIFFUSION_PRESETS, SIM_KINDS, mbm_covariance,
+                              sim_diffusion_batch)
 
 from .oracles import fbm_cov, spectral_variogram
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestFbm:
@@ -62,6 +74,27 @@ class TestFbm:
         rel = np.linalg.norm(emp - want) / np.linalg.norm(want)
         assert rel <= 4.0 / math.sqrt(reps)
 
+    @pytest.mark.parametrize("n, H", [(2, 0.5), (3, 0.3), (1000, 0.7), (4096, 0.05)])
+    def test_draw_equals_out_of_place_reference(self, n, H):
+        # the spectrum built out of place from (n-1, 2) normals, as a formula reads
+        sampler = ri.FbmSampler(n, H)
+        rng = ri.derive_rng(12, n)
+        ab = rng.standard_normal(2)
+        uv = rng.standard_normal((n - 1, 2))
+        amp = sampler._amp
+        c = np.concatenate([[amp[0] * ab[0]], amp[1:n] * (uv[:, 0] + 1j * uv[:, 1]),
+                            [amp[n] * ab[1]]])
+        inc = np.fft.irfft(c, n=2 * n)[:n] * math.sqrt(2 * n) * n ** (-H)
+        want = np.concatenate([[0.0], np.cumsum(inc)])
+        assert np.array_equal(sampler.sample_path(ri.derive_rng(12, n)).values, want)
+
+    def test_draw_peak_memory(self):
+        # the 16n-byte spectrum and irfft output are never live with the path and its copy
+        n = 2**16
+        sampler = ri.FbmSampler(n, 0.5)
+        sampler.sample_path(ri.derive_rng(1))  # FFT plans are cached on first use
+        assert traced_peak(lambda: sampler.sample_path(ri.derive_rng(2))) < 4.5 * 8 * n
+
     def test_domain(self):
         with pytest.raises(DomainError):
             ri.sim_fbm(64, 1.0, seed=1)
@@ -98,6 +131,51 @@ class TestMbm:
         want = t ** (2 * (0.3 + 0.4 * t))
         got = draws[:, 1:].var(axis=0)
         assert np.abs(got / want - 1.0).max() < 6.0 / math.sqrt(reps) * 3
+
+    @pytest.mark.parametrize("n", [64, 500])
+    def test_batched_draws_equal_single_draws(self, n):
+        # at n=500 OpenBLAS rounds a 2-column product unlike a 65-column one,
+        # so every draw goes through products of one fixed width
+        sampler = ri.MbmSampler(n, lambda t: 0.3 + 0.4 * t)
+        singles = np.array([sampler.sample_path(ri.derive_rng(8, i)).values
+                            for i in range(65)])
+        for width in (1, 2, 3, 7, 33, 65):
+            batch = sampler.sample_paths([ri.derive_rng(8, i) for i in range(width)])
+            assert np.array_equal(batch, singles[:width]), width
+
+    @pytest.mark.parametrize("n", [127, 257])
+    def test_factor_equals_cholesky_of_covariance(self, n):
+        import scipy.linalg
+        h = lambda t: 0.5 + 0.3 * np.sin(6.0 * t)
+        sampler = ri.MbmSampler(n, h)
+        C = mbm_covariance(n, [h(t) for t in np.arange(1, n + 1) / n])
+        assert np.array_equal(sampler._L, scipy.linalg.cholesky(C, lower=True))
+
+    def test_failed_first_attempt_retries_on_a_rebuilt_jittered_covariance(self, monkeypatch):
+        import scipy.linalg
+        cholesky = scipy.linalg.cholesky
+        calls = []
+
+        def first_attempt_fails(a, **options):
+            calls.append(options)
+            if len(calls) == 1:
+                a[...] = np.nan  # a failed factorization leaves its buffer spoiled
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a, **options)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", first_attempt_fails)
+        n, h = 129, np.full(129, 0.4)
+        sampler = ri.MbmSampler(n, h)
+        C = mbm_covariance(n, h)
+        jittered = C + 1e-12 * float(np.mean(np.diag(C))) * np.eye(n)
+        assert len(calls) == 2
+        assert np.array_equal(sampler._L, cholesky(jittered, lower=True))
+
+    def test_factor_built_in_one_buffer(self):
+        n = 2048
+        ri.MbmSampler(64, 0.5)  # scipy imports outside the trace
+        peak = traced_peak(lambda: ri.MbmSampler(n, lambda t: 0.3 + 0.4 * t))
+        assert peak < 1.25 * 8 * n * n
 
     def test_exponent_domain_checked(self):
         with pytest.raises(DomainError):
@@ -202,17 +280,43 @@ class TestDiffusion:
         assert info.value.step == 2
 
     def test_batch_deterministic(self):
-        from roughir.simulate import sim_diffusion_batch
         args = (128, lambda x: 1.0 + 0.1 * x * x, lambda x: -x, 0.0, 16, 71, 3)
         b1 = sim_diffusion_batch(*args)
         b2 = sim_diffusion_batch(*args)
         assert np.array_equal(b1, b2)
         assert b1.shape == (3, 129)
 
+    def test_batch_equals_per_path_reference(self):
+        # each path's normals drawn in chunks from its own generator, one Euler step at a time
+        a_func, b_func, x0 = DIFFUSION_PRESETS["mean-reverting"]
+        n, refine, reps, seed = 300, 16, 3, 72
+        steps = n * refine
+        dt, sdt = 1.0 / steps, math.sqrt(1.0 / steps)
+        want = np.empty((reps, n + 1))
+        for i in range(reps):
+            rng = ri.derive_rng(seed, "diffusion", i)
+            z = np.concatenate([rng.standard_normal(min(_EULER_CHUNK, steps - k))
+                                for k in range(0, steps, _EULER_CHUNK)])
+            x = np.array([x0])
+            want[i, 0] = x0
+            for k in range(steps):
+                x = x + (a_func(x) * (sdt * z[k]) + b_func(x) * dt)
+                if (k + 1) % refine == 0:
+                    want[i, (k + 1) // refine] = x[0]
+        assert np.array_equal(sim_diffusion_batch(n, a_func, b_func, x0, refine, seed, reps),
+                              want)
+
+    def test_coefficients_returning_the_state_or_a_kept_array(self):
+        kept = np.full(2, 0.5)
+        aliased = sim_diffusion_batch(64, lambda x: x, lambda x: kept, 1.0, 16, 73, 2)
+        fresh = sim_diffusion_batch(64, lambda x: x.copy(), lambda x: np.full(2, 0.5), 1.0,
+                                    16, 73, 2)
+        assert np.array_equal(aliased, fresh)
+        assert np.array_equal(kept, [0.5, 0.5])
+
     @pytest.mark.parametrize("n, refine, error", [(8, 0, DomainError), (8, 15, DomainError),
                                                   (1, 16, SizeError)])
     def test_batch_checks_inputs_as_single_path(self, n, refine, error):
-        from roughir.simulate import sim_diffusion_batch
         a, b, x0 = DIFFUSION_PRESETS["brownian"]
         with pytest.raises(error) as batch:
             sim_diffusion_batch(n, a, b, x0, refine, 1, 2)
