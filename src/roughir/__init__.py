@@ -19,9 +19,9 @@ from .increments import (Filter, SampledPath, filtered_increment,
                          p_increment, p_increment_array)
 from .pathio import read_path, write_path
 from .rng import derive_rng
-from .simulate import (FbmSampler, MbmSampler, SimSpec, apply_trend,
-                       sim_brownian, sim_diffusion, sim_fbm, sim_levy_compound,
-                       sim_levy_stable, sim_mbm, sim_multiscale_fbm, simulate)
+from .simulators import (FbmSampler, MbmSampler, SimSpec, apply_trend,
+                         sim_brownian, sim_diffusion, sim_fbm, sim_levy_compound,
+                         sim_levy_stable, sim_mbm, sim_multiscale_fbm, simulate)
 from .stable import (AlphaEstimate, LambdaTildeTable, build_stable_table,
                      estimate_alpha, invert_lambda_tilde, sample_sym_stable)
 from .statistics import (IRSummary, psi, psi0, r0_pn, r0_tilde_2n, r_an,

@@ -18,7 +18,7 @@ from .errors import RangeError, RoughIRError
 from .experiments import EXPERIMENT_NAMES, EXPERIMENTS, run_experiment
 from .gaussian import estimate_H, invert_Lambda2
 from .pathio import _atomic_write, read_path, write_path
-from .simulate import DIFFUSION_PRESETS, SIM_KINDS, TREND_PRESETS, SimSpec, simulate, simulator
+from .simulators import DIFFUSION_PRESETS, SIM_KINDS, TREND_PRESETS, SimSpec, simulate, simulator
 from .stable import estimate_alpha
 from .statistics import r_local, r_pn, r_tilde_2n
 
@@ -254,7 +254,7 @@ def build_parser():
     sim.set_defaults(func=cmd_simulate)
 
     tab = sub.add_parser("tables", help="build and persist a limit table")
-    tab.add_argument("--kind", choices=("gaussian", "stable"), required=True)
+    tab.add_argument("--kind", choices=tableio.KINDS, required=True)
     tab.add_argument("--reps", type=int, default=None)
     tab.add_argument("--path-len", type=int, default=None)
     tab.add_argument("--seed", type=int, default=None, help="default: the builder's seed")

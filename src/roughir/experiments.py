@@ -19,8 +19,8 @@ from .gaussian import (LAMBDA2_HIGH, LAMBDA2_LOW, Lambda_p, _check_sigma_p, esti
 from .increments import SampledPath
 from .pathio import _atomic_write, write_rows
 from .rng import derive_rng
-from .simulate import (DIFFUSION_PRESETS, TREND_PRESETS, FbmSampler, MbmSampler,
-                       _path_from_increments, apply_trend, sim_diffusion_batch)
+from .simulators import (DIFFUSION_PRESETS, TREND_PRESETS, FbmSampler, MbmSampler,
+                         _path_from_increments, apply_trend, sim_diffusion_batch)
 from .stable import sym_stable_from_uniform_exp, estimate_alpha
 from .statistics import r0_tilde_2n, r_local, r_pn, r_tilde_2n
 

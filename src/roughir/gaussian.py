@@ -23,6 +23,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DomainError, InterpolationError, RangeError, SizeError
+from .increments import _frozen
 from .rng import derive_rng, derive_seed
 from .statistics import IRSummary, r_pn
 
@@ -207,7 +208,7 @@ def sigma_p_mc(p, H, reps=500, path_len=4096, seed=0):
     the first-increment sequence has long memory beyond that point and
     the variance series diverges.
     """
-    from .simulate import FbmSampler  # local import: avoid a module cycle
+    from .simulators import FbmSampler  # local import: avoid a module cycle
 
     _check_H(H)
     _check_sigma_p(p, H)
@@ -310,9 +311,7 @@ class VarianceTable:
 
     def __post_init__(self):
         for name in ("h_grid", "sigma1", "sigma1_stderr", "sigma2", "sigma2_stderr"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         if (self.sigma1 < 0).any() or (self.sigma2 < 0).any():
             raise DomainError("variance entries must be nonnegative")
 

@@ -20,6 +20,13 @@ from .errors import DomainError, SizeError
 MOMENT_TOL = 1e-12  # absolute tolerance on the vanishing-moment sums
 
 
+def _frozen(values):
+    """A read-only float copy of values: what a frozen dataclass stores."""
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SampledPath:
     """Immutable equispaced sample of one path on the grid j/n, j=0..n.
@@ -38,9 +45,7 @@ class SampledPath:
         if not np.isfinite(v).all():
             bad = int(np.flatnonzero(~np.isfinite(v))[0])
             raise DomainError(f"non-finite path value at index {bad}")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(v))
 
     @property
     def n(self):
@@ -82,9 +87,7 @@ class Filter:
         mp = float(np.dot(l**self.p, a))
         if abs(mp) <= MOMENT_TOL:
             raise DomainError(f"moment {self.p} is {mp:.3e}; filter order exceeds p")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "coeffs", a)
+        object.__setattr__(self, "coeffs", _frozen(a))
         object.__setattr__(self, "q", a.size - 1)
 
 

@@ -8,7 +8,6 @@ All simulators return paths on the grid j/n with X_0 = 0 and are
 deterministic functions of their seed.
 """
 
-import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -41,44 +40,34 @@ def _path_from_increments(inc):
     return SampledPath(out)
 
 
-@functools.lru_cache(maxsize=16)
-def _fgn_amplitudes(n, H):
-    """Amplitudes of the n+1 Fourier modes of a fGn draw: the square roots
-    of the eigenvalues of the 2n circulant embedding of the fGn covariance,
-    halved for the complex modes 1..n-1.  FactorizationError when any
-    eigenvalue is materially negative (for H in [0.001, 0.999] only at
-    n >= 2^18 with H near 1)."""
-    r = fbm_increment_cov(1, H, np.arange(n + 1))
-    row = np.concatenate([r, r[-2:0:-1]])
-    eig = np.fft.rfft(row).real
-    if eig.min() < -1e-9 * eig.max():
-        raise FactorizationError(
-            f"circulant embedding of fGn with n={n}, H={H} has negative eigenvalues "
-            f"(min {eig.min():.3e}); no exact sampler for this grid size"
-        )
-    eig = np.maximum(eig, 0.0)
-    eig[1:n] /= 2.0
-    amp = np.sqrt(eig, out=eig)
-    amp.flags.writeable = False
-    return amp
-
-
 class FbmSampler:
     """Reusable exact-in-law sampler of fractional Brownian paths.
 
     Circulant embedding (Davies-Harte) only: construction raises
     FactorizationError where the embedding eigenvalues go negative
     (very large n with H near 1).  Construct once per (n, H) and draw
-    many paths.
+    many paths; the sampler holds its amplitudes, and nothing is kept
+    once it is dropped.
     """
 
     def __init__(self, n, H):
         _check_H(H)
         if n < 2:
             raise SizeError(f"need grid size n >= 2, got {n}")
-        self.n = int(n)
-        self.H = float(H)
-        self._amp = _fgn_amplitudes(self.n, self.H)
+        self.n = n = int(n)
+        self.H = H = float(H)
+        # amplitudes of the n+1 Fourier modes of a fGn draw: square roots of the
+        # 2n circulant embedding's eigenvalues, halved for the complex modes 1..n-1
+        r = fbm_increment_cov(1, H, np.arange(n + 1))
+        eig = np.fft.rfft(np.concatenate([r, r[-2:0:-1]])).real
+        if eig.min() < -1e-9 * eig.max():
+            raise FactorizationError(
+                f"circulant embedding of fGn with n={n}, H={H} has negative eigenvalues "
+                f"(min {eig.min():.3e}); no exact sampler for this grid size"
+            )
+        eig = np.maximum(eig, 0.0)
+        eig[1:n] /= 2.0
+        self._amp = np.sqrt(eig, out=eig)
 
     def sample_path(self, rng):
         """fBm on the grid j/n: one length-n draw of unit-lag fractional

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, SizeError
 from .gaussian import _grid, _normal_quantile, _pchip
+from .increments import _frozen
 from .rng import derive_rng
 from .statistics import IRSummary, psi_terms, r_tilde_2n
 
@@ -55,41 +56,37 @@ def sample_sym_stable(alpha, rng, size=None):
     return float(z[0]) if scalar else z
 
 
+def _sigma_sq(A, B):
+    """2 var(A) + 4 cov(A, B): the sigma_tilde^2 estimate of one sample."""
+    return 2.0 * A.var(ddof=1) + 4.0 * float(np.cov(A, B)[0, 1])
+
+
 def _psi_moments(z):
     """Monte Carlo moments of A = psi(Z1,Z2), B = psi(Z2,Z3) from an
-    (reps, 3) stable draw: (mean of A, its stderr, 2 var(A) + 4 cov(A, B),
-    the stderr of that from 40 batch means).
+    (reps, 3) stable draw: (mean of A, its stderr, _sigma_sq(A, B), the
+    stderr of that from 40 batch estimates).
     """
     A, _ = psi_terms(z[:, 0], z[:, 1], "psi")
     B, _ = psi_terms(z[:, 1], z[:, 2], "psi")
     reps, batches = A.size, 40
-    sig = 2.0 * A.var(ddof=1) + 4.0 * float(np.cov(A, B)[0, 1])
     bs = reps // batches
-    per = np.empty(batches)
-    for k in range(batches):
-        Ab, Bb = A[k * bs:(k + 1) * bs], B[k * bs:(k + 1) * bs]
-        per[k] = 2.0 * Ab.var(ddof=1) + 4.0 * float(np.cov(Ab, Bb)[0, 1])
-    return (A.mean(), A.std(ddof=1) / math.sqrt(reps), sig,
+    per = np.array([_sigma_sq(A[k * bs:(k + 1) * bs], B[k * bs:(k + 1) * bs])
+                    for k in range(batches)])
+    return (A.mean(), A.std(ddof=1) / math.sqrt(reps), _sigma_sq(A, B),
             per.std(ddof=1) / math.sqrt(batches))
 
 
 def _pava_decreasing(y):
     """Pool-adjacent-violators projection onto nonincreasing sequences."""
-    vals, wts, runs = [], [], []
+    blocks = []  # (mean, length); a block's weight is its length
     for v in y:
-        v, w_, c = float(v), 1.0, 1
-        while vals and vals[-1] < v:
-            v = (vals[-1] * wts[-1] + v * w_) / (wts[-1] + w_)
-            w_ += wts[-1]
-            c += runs[-1]
-            vals.pop(); wts.pop(); runs.pop()
-        vals.append(v); wts.append(w_); runs.append(c)
-    out = np.empty(len(y))
-    pos = 0
-    for v, c in zip(vals, runs):
-        out[pos:pos + c] = v
-        pos += c
-    return out
+        v, c = float(v), 1
+        while blocks and blocks[-1][0] < v:
+            m, k = blocks.pop()
+            v, c = (m * k + v * c) / (k + c), c + k
+        blocks.append((v, c))
+    means, lengths = zip(*blocks)
+    return np.repeat(means, lengths)
 
 
 @dataclass(frozen=True)
@@ -115,9 +112,7 @@ class LambdaTildeTable:
     def __post_init__(self):
         for name in ("alpha_grid", "lam", "lam_stderr", "sigma_sq",
                      "sigma_sq_stderr", "dlam"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         if self.lam.min() < 0.5 - 3.0 * self.lam_stderr.max() or self.lam.max() > 1.0:
             raise DomainError("limit-curve entries must lie in [1/2, 1]")
 

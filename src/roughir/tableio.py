@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
-from .gaussian import VarianceTable, build_variance_table
+from .errors import DomainError, ParseError
+from .gaussian import VarianceTable, _check_sigma_p, _grid, build_variance_table
 from .pathio import read_rows, write_rows
 from .stable import LambdaTildeTable, build_stable_table
 
@@ -81,8 +81,12 @@ def load_variance_table(filename):
     ints, rows = _read(filename, "gaussian", VARIANCE_COLUMNS, ("reps", "path_len", "seed"))
     by_p = {1: {}, 2: {}}
     for lineno, (h, p, s, e) in rows:
-        if p not in by_p:
-            raise ParseError(f"unknown p={p:g} (expected 1 or 2)", line=lineno)
+        try:
+            _check_sigma_p(p, h)  # the builders' rule: p is 1 or 2, and p=1 needs H < 3/4
+        except DomainError as err:
+            raise ParseError(str(err), line=lineno) from None
+        if h in by_p[int(p)]:
+            raise ParseError(f"repeated row H={h:g}, p={p:g}", line=lineno)
         by_p[int(p)][h] = (s, e)
     if not by_p[2]:
         raise ParseError("no p=2 rows", line=None)
@@ -103,8 +107,17 @@ def save_stable_table(table, filename):
 def load_stable_table(filename):
     ints, rows = _read(filename, "stable", STABLE_COLUMNS,
                        ("reps", "seed", "monotone_violations"))
-    data = np.array([values for _, values in rows])
-    return LambdaTildeTable(*data[np.argsort(data[:, 0])].T, **ints)
+    lines, data = zip(*sorted(rows, key=lambda row: row[1][0]))  # by alpha
+    data = np.array(data).T
+    step = np.diff(data[:2])  # the alpha steps and the lambda steps
+    try:
+        _grid(data[0], None, "alpha", least=2)  # the builders' grid rule
+    except DomainError as e:  # sorted alphas break it only by a repeat
+        raise ParseError(str(e), line=lines[step[0].argmin() + 1] if step.size else None) from None
+    if (step[1] > 0).any():  # PAVA's curve never rises
+        raise ParseError("lambda rises with alpha; the limit curve is nonincreasing",
+                         line=lines[(step[1] > 0).argmax() + 1])
+    return LambdaTildeTable(*data, **ints)
 
 
 TableKind = namedtuple("TableKind", "build save load")

@@ -239,6 +239,13 @@ class TestVarianceTable:
         with pytest.raises(DomainError, match="3/4"):
             exp_clt_fbm(table, h_values=(0.8,), p=1, n=64, reps=2)
 
+    def test_caller_arrays_stay_writeable(self):
+        grid, s = np.array([0.4, 0.6]), np.array([0.1, 0.2])
+        t = ri.VarianceTable(grid, s, s, s, s, reps=1, path_len=2, seed=0)
+        grid[0], s[0] = 0.45, 0.3
+        assert t.h_grid[0] == 0.4 and t.sigma2[0] == 0.1
+        assert not t.sigma2.flags.writeable
+
     def test_entries_nonnegative(self, variance_table):
         assert np.nanmin(variance_table.sigma1) >= 0
         assert variance_table.sigma2.min() >= 0

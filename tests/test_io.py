@@ -246,6 +246,12 @@ class TestTableFiles:
         ("stable", "# seed=4\n", "# seed=four\n", None),
         ("gaussian", "# seed=3\n", "", None),
         ("gaussian", "# path_len=256\n", "", None),
+        ("stable", "2\t0.7\t0.001\t0.1\t0.01\t-0.2\n", "", None),  # one alpha row
+        ("stable", "2\t0.7\t", "1\t0.7\t", 8),            # repeated alpha
+        ("stable", "2\t0.7\t", "2\t0.9\t", 8),            # lambda rises with alpha
+        ("gaussian", "0.6\t2\t0.3\t0.01\n", "0.6\t2\t0.3\t0.01\n0.6\t2\t0.99\t0.01\n", 10),
+        ("gaussian", "0.4\t1\t0.1\t0.01\n", "0.4\t1\t0.1\t0.01\n0.4\t1\t0.2\t0.01\n", 8),
+        ("gaussian", "0.4\t1", "0.75\t1", 7),             # p=1 where Sigma_1 diverges
     ])
     def test_malformed_table_parse_error(self, tmp_path, capsys, kind, old, new, line):
         good = STABLE_FILE if kind == "stable" else GAUSSIAN_FILE

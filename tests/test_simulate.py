@@ -1,4 +1,4 @@
-import importlib
+import gc
 import math
 import tracemalloc
 import warnings
@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import roughir as ri
+import roughir.simulators as simulators
 from roughir.errors import (DomainError, FactorizationError, ResolutionError,
                             SimulationError, SizeError)
-from roughir.simulate import (_EULER_CHUNK, DIFFUSION_PRESETS, SIM_KINDS, mbm_covariance,
-                              sim_diffusion_batch)
+from roughir.simulators import (_EULER_CHUNK, DIFFUSION_PRESETS, SIM_KINDS, mbm_covariance,
+                                sim_diffusion_batch)
 
 from .oracles import fbm_cov, spectral_variogram
 
@@ -94,6 +95,18 @@ class TestFbm:
         sampler = ri.FbmSampler(n, 0.5)
         sampler.sample_path(ri.derive_rng(1))  # FFT plans are cached on first use
         assert traced_peak(lambda: sampler.sample_path(ri.derive_rng(2))) < 4.5 * 8 * n
+
+    def test_dropped_samplers_leave_nothing(self):
+        # a sampler holds its amplitudes itself: no process-wide memo keeps them
+        ri.FbmSampler(2**16, 0.5)  # FFT set-up on first use
+        tracemalloc.start()
+        try:
+            for i in range(17):
+                ri.FbmSampler(2**16, 0.3 + 0.02 * i)
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] < 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -394,8 +407,7 @@ class TestLevyCompound:
         dict(rate=2.0**24 + 1),
     ], ids=["small-jumps", "poisson-jumps"])
     def test_expected_jump_count_capped_before_any_draw(self, monkeypatch, params):
-        module = importlib.import_module("roughir.simulate")  # ri.simulate is the function
-        monkeypatch.setattr(module, "derive_rng", lambda *keys: pytest.fail("drew"))
+        monkeypatch.setattr(simulators, "derive_rng", lambda *keys: pytest.fail("drew"))
         with pytest.raises(SizeError, match="expected jumps"):
             ri.sim_levy_compound(2048, 0.0, seed=1, **params)
 

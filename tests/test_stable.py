@@ -7,6 +7,7 @@ from scipy.stats import cauchy, kstest
 
 import roughir as ri
 from roughir.errors import DomainError, RangeError, SizeError
+from roughir.stable import _pava_decreasing
 
 
 class TestSampler:
@@ -116,6 +117,35 @@ class TestGrid:
 
 
 class TestTable:
+    def test_build_bits_pinned(self):
+        # the builder's doubles at one seed: smoothing and sigma_tilde^2 keep their bits
+        t = ri.build_stable_table(reps=10_000, seed=1, alpha_grid=[0.5, 1.0, 1.5, 2.0])
+        want = {
+            "lam": ["0x1.b5051645ff06cp-1", "0x1.8ef1115c52a41p-1",
+                        "0x1.7ab178a4ea0bcp-1", "0x1.6e8e390cdcfffp-1"],
+            "lam_raw": ["0x1.b5051645ff06cp-1", "0x1.8ef1115c52a41p-1",
+                        "0x1.7ab178a4ea0bcp-1", "0x1.6e8e390cdcfffp-1"],
+            "lam_stderr": ["0x1.4f0ce6f165eaep-9", "0x1.8c1254daf5116p-9",
+                        "0x1.ac9fe7964d866p-9", "0x1.c25433fef74a6p-9"],
+            "sigma_sq": ["0x1.201e33337152ep-3", "0x1.9d9b2716bf89fp-3",
+                        "0x1.e144599d1062ap-3", "0x1.09a1982f8b55ep-2"],
+            "sigma_sq_stderr": ["0x1.0a5d58da08594p-8", "0x1.b629cefe310bep-9",
+                        "0x1.eece8bf5a2a46p-9", "0x1.1596777856258p-8"],
+            "dlam": ["-0x1.30a0274d63158p-3", "-0x1.d29ced08a7d80p-4",
+                        "-0x1.0316c27bad210p-4", "-0x1.8467f301a17a0p-5"],
+        }
+        assert {name: [float(x).hex() for x in getattr(t, name)] for name in want} == want
+
+    def test_smoothing_pools_adjacent_violators(self):
+        assert _pava_decreasing([1.0, 3.0, 2.0, 0.0, 0.5]).tolist() == [2.0, 2.0, 2.0, 0.25, 0.25]
+
+    def test_caller_arrays_stay_writeable(self):
+        grid, lam, s = np.array([1.0, 2.0]), np.array([0.8, 0.7]), np.array([0.1, 0.1])
+        t = ri.LambdaTildeTable(grid, lam, s, s, s, s, reps=1, seed=0)
+        grid[0], lam[0], s[0] = 0.5, 0.9, 0.2
+        assert t.alpha_grid[0] == 1.0 and t.lam[0] == 0.8 and t.dlam[0] == 0.1
+        assert not t.lam.flags.writeable
+
     def test_lambda_bounds(self, stable_table):
         assert stable_table.lam.min() >= 0.5
         assert stable_table.lam.max() <= 1.0
