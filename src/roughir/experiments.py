@@ -119,7 +119,8 @@ def exp_clt_fbm(variance_table, h_values=(0.3, 0.5, 0.7), p=2, n=4096,
     rep = ExperimentReport.start("clt-fbm", locals(), min_reps=2)
     for H in h_values:  # every n*var target must exist before the first draw
         _check_sigma_p(p, H)
-    for hi, H in enumerate(h_values):
+    sigmas = [variance_table.sigma(p, H) for H in h_values]
+    for hi, (H, sigma) in enumerate(zip(h_values, sigmas)):
         sampler = FbmSampler(n, H)
         vals = np.empty(reps)
         covered = 0
@@ -138,17 +139,16 @@ def exp_clt_fbm(variance_table, h_values=(0.3, 0.5, 0.7), p=2, n=4096,
         rep.check(f"mean R^{{{p},n}} at H={H}", vals.mean(), target,
                   "within 3 MC stderrs", abs(vals.mean() - target) <= 3 * se)
         nvar = n * vals.var(ddof=1)
-        entry, _ = variance_table.entry(p, H)
-        rep.check(f"n*var R^{{{p},n}} at H={H}", nvar, entry,
+        rep.check(f"n*var R^{{{p},n}} at H={H}", nvar, sigma,
                   f"relative error <= {var_rtol}",
-                  abs(nvar / entry - 1.0) <= var_rtol)
+                  abs(nvar / sigma - 1.0) <= var_rtol)
         if p == 2:
             cov = covered / reps
             rep.check(f"{int(conf*100)}% CI coverage at H={H}", cov, conf,
                       f"in [{coverage_band[0]}, {coverage_band[1]}]",
                       coverage_band[0] <= cov <= coverage_band[1])
         rep.aggregates[f"H={H}"] = {"mean": vals.mean(), "se_mean": se,
-                                    "n_var": nvar, "table_entry": entry}
+                                    "n_var": nvar, "table_entry": sigma}
     return rep.finish()
 
 
@@ -228,14 +228,16 @@ def exp_levy_clt(stable_table, alphas=(0.8, 1.2, 1.8), n=8192, reps=500,
     rep = ExperimentReport.start("levy-clt", locals(), min_reps=2)
     # anchor: the limit curve at alpha=2 equals the closed-form Gaussian value
     anchor = lam(0.0)
-    i2 = int(np.argmin(np.abs(stable_table.alpha_grid - 2.0)))
-    tab2 = float(stable_table.lam[i2])
-    se2 = float(stable_table.lam_stderr[i2])
+    tab2 = stable_table.interp("lam", 2.0)
+    se2 = stable_table.interp("lam_stderr", 2.0)
     rep.check("limit curve at alpha=2 vs closed-form Gaussian anchor 0.72",
               tab2, anchor, "within 3 table MC stderrs",
               abs(tab2 - anchor) <= 3 * se2)
+    # every graded target must exist before the first draw
+    targets = [(stable_table.interp("lam_stderr", a) / abs(stable_table.interp("dlam", a)),
+                stable_table.interp("sigma_sq", a)) for a in alphas]
 
-    for ai, alpha in enumerate(alphas):
+    for ai, (alpha, (table_se, entry)) in enumerate(zip(alphas, targets)):
         rt = np.empty(reps)
         a_hats = np.empty(reps)
         r0 = np.empty(reps)
@@ -252,8 +254,6 @@ def exp_levy_clt(stable_table, alphas=(0.8, 1.2, 1.8), n=8192, reps=500,
         rep.replications[f"alpha_hat_{alpha}"] = a_hats.tolist()
         rep.replications[f"r_tilde_{alpha}"] = rt.tolist()
         # joint stderr: replication noise plus the table's own MC uncertainty
-        dl = stable_table.interp("dlam", alpha)
-        table_se = stable_table.interp("lam_stderr", alpha) / abs(dl)
         joint = math.hypot(_se(a_hats), table_se)
         if alpha == 2.0:
             # boundary case: inversion clamps one-sidedly, so grade the
@@ -266,7 +266,6 @@ def exp_levy_clt(stable_table, alphas=(0.8, 1.2, 1.8), n=8192, reps=500,
                       "within 3 joint stderrs (replication + table)",
                       abs(a_hats.mean() - alpha) <= 3 * joint)
         nvar = n * rt.var(ddof=1)
-        entry = stable_table.interp("sigma_sq", alpha)
         rep.check(f"n*var r_tilde at alpha={alpha}", nvar, entry,
                   f"relative error <= {var_rtol}",
                   abs(nvar / entry - 1.0) <= var_rtol)

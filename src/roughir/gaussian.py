@@ -338,16 +338,6 @@ class VarianceTable:
                 low=float(grid[0]), high=float(grid[-1]))
         return interp(H)
 
-    def entry(self, p, H):
-        """Exact grid entry (sigma, stderr) at H; H must be a grid point."""
-        i = int(np.argmin(np.abs(self.h_grid - H)))
-        if abs(self.h_grid[i] - H) > 1e-9:
-            raise InterpolationError(f"H={H} is not a grid point of the table")
-        _check_sigma_p(p, self.h_grid[i])
-        if p == 1:
-            return float(self.sigma1[i]), float(self.sigma1_stderr[i])
-        return float(self.sigma2[i]), float(self.sigma2_stderr[i])
-
 
 def build_variance_table(reps=2000, path_len=4096, seed=20240601,
                          h_grid=None, progress=None):

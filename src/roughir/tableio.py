@@ -59,7 +59,11 @@ def _read(filename, kind, columns, meta_keys):
         try:
             if len(parts) != len(header):
                 raise ValueError(f"row has {len(parts)} fields, header has {len(header)}")
-            data.append((lineno, [float(parts[i]) for i in idx]))
+            values = [float(parts[i]) for i in idx]
+            bad = [c for c, v in zip(columns, values) if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"non-finite {', '.join(bad)}")
+            data.append((lineno, values))
         except ValueError as e:
             raise ParseError(str(e), line=lineno) from None
     return ints, data
@@ -90,6 +94,9 @@ def load_variance_table(filename):
         by_p[int(p)][h] = (s, e)
     if not by_p[2]:
         raise ParseError("no p=2 rows", line=None)
+    for lineno, (h, p, _, _) in rows:
+        if p == 1 and h not in by_p[2]:
+            raise ParseError(f"row H={h:g}, p=1 has no p=2 row at its H", line=lineno)
     grid = np.array(sorted(by_p[2]))
     s1, s1e = np.array([by_p[1].get(h, (math.nan, math.nan)) for h in grid]).T
     s2, s2e = np.array([by_p[2][h] for h in grid]).T

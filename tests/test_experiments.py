@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import roughir as ri
+from roughir import experiments
 from roughir.experiments import (exp_clt_fbm, exp_diffusion_rate,
                                  exp_levy_clt, exp_local_mbm,
                                  exp_smooth_limit, exp_trend_robustness,
                                  run_experiment)
+from roughir.rng import derive_rng
 
 NOTES = {"diffusion-rate": {"sde"}, "trend-robustness": {"trend"}, "smooth-limit": {"f"}}
 
@@ -75,14 +77,26 @@ class TestSmallScaleRuns:
                                        var_rtol=0.35, coverage_band=(0.85, 1.0))
         assert len(rep.replications["R2_H0.5"]) == 120
 
-    def test_clt_fbm_missing_variance_before_any_draw(self, variance_table, monkeypatch):
+    @pytest.mark.parametrize("p, h_values, error, match", [
+        (1, (0.8,), ri.DomainError, "3/4"),
+        (2, (0.5, 0.97), ri.InterpolationError, "outside the tabulated grid"),
+    ], ids=["sigma1-diverges", "past-the-grid"])
+    def test_clt_fbm_missing_variance_before_any_draw(self, variance_table, monkeypatch,
+                                                      p, h_values, error, match):
         draws = []
         sample_path = ri.FbmSampler.sample_path
         monkeypatch.setattr(ri.FbmSampler, "sample_path",
                             lambda self, rng: draws.append(1) or sample_path(self, rng))
-        with pytest.raises(ri.DomainError, match="3/4"):
-            exp_clt_fbm(variance_table, h_values=(0.8,), p=1, n=64, reps=7)
+        with pytest.raises(error, match=match):
+            exp_clt_fbm(variance_table, h_values=h_values, p=p, n=64, reps=7)
         assert draws == []
+
+    def test_clt_fbm_grades_off_grid_h_against_the_interpolant(self, variance_table):
+        rep = exp_clt_fbm(variance_table, h_values=(0.52,), n=256, reps=4, seed=3)
+        sigma = variance_table.sigma(2, 0.52)
+        assert 0.52 not in variance_table.h_grid
+        assert rep.aggregates["H=0.52"]["table_entry"] == sigma
+        assert [v.target for v in rep.verdicts if v.name.startswith("n*var")] == [sigma]
 
     def test_levy_clt_small(self, stable_table):
         rep = exp_levy_clt(stable_table, alphas=(1.2,), n=2048, reps=120,
@@ -91,6 +105,20 @@ class TestSmallScaleRuns:
         assert_config_echoes_arguments(rep, exp_levy_clt, stable_table, alphas=(1.2,),
                                        n=2048, reps=120, seed=12, var_rtol=0.35,
                                        psi0_alphas=(1.2,))
+
+    @pytest.mark.parametrize("grid_end, alphas", [(None, (1.2, 0.01)), (-1, (1.2,))],
+                             ids=["alpha-below-grid", "grid-without-alpha-2"])
+    def test_levy_clt_missing_target_before_any_draw(self, stable_table, monkeypatch,
+                                                     grid_end, alphas):
+        columns = ("alpha_grid", "lam", "lam_stderr", "sigma_sq", "sigma_sq_stderr", "dlam")
+        table = ri.LambdaTildeTable(*(getattr(stable_table, c)[:grid_end] for c in columns),
+                                    reps=stable_table.reps, seed=stable_table.seed)
+        draws = []
+        monkeypatch.setattr(experiments, "derive_rng",
+                            lambda *key: draws.append(key) or derive_rng(*key))
+        with pytest.raises(ri.RangeError, match="outside the tabulated grid"):
+            exp_levy_clt(table, alphas=alphas, n=64, reps=3)
+        assert draws == []
 
     def test_levy_clt_boundary_alpha_two(self, stable_table):
         # at the alpha=2 boundary the experiment grades the statistic itself

@@ -232,10 +232,6 @@ class TestVarianceTable:
         table = ri.VarianceTable(np.array([0.5, 0.8]), np.array([0.3, np.nan]),
                                  np.array([0.01, np.nan]), np.array([0.2, 0.3]),
                                  np.array([0.01, 0.01]), reps=100, path_len=256, seed=0)
-        assert table.entry(1, 0.5) == (0.3, 0.01)
-        assert table.entry(2, 0.8) == (0.3, 0.01)
-        with pytest.raises(DomainError, match="3/4"):
-            table.entry(1, 0.8)
         with pytest.raises(DomainError, match="3/4"):
             exp_clt_fbm(table, h_values=(0.8,), p=1, n=64, reps=2)
 
@@ -256,8 +252,18 @@ class TestVarianceTable:
 
     def test_interpolation_inside(self, variance_table):
         v = variance_table.sigma(2, 0.52)
-        lo, hi = variance_table.entry(2, 0.5)[0], variance_table.entry(2, 0.55)[0]
+        i = variance_table.h_grid.searchsorted(0.52)  # the knots 0.5 and 0.55 bracket it
+        lo, hi = variance_table.sigma2[i - 1], variance_table.sigma2[i]
         assert min(lo, hi) - 1e-9 <= v <= max(lo, hi) + 1e-9
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_interpolant_is_exact_at_every_knot(self, variance_table, p):
+        # clt-fbm grades n*var against sigma(p, H), so at a grid H it reads the stored entry
+        vals = variance_table.sigma1 if p == 1 else variance_table.sigma2
+        known = ~np.isnan(vals)
+        assert known.sum() >= 2
+        grid = variance_table.h_grid[known]
+        assert [variance_table.sigma(p, h) for h in grid] == vals[known].tolist()
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_cached_interpolant_matches_fresh_build(self, variance_table, p):
@@ -295,7 +301,7 @@ class TestVarianceTable:
     def test_one_point_grid_builds(self):
         table = ri.build_variance_table(reps=100, path_len=64, seed=1, h_grid=[0.5])
         assert table.h_grid.tolist() == [0.5]
-        assert table.entry(2, 0.5)[0] > 0
+        assert table.sigma2[0] > 0
 
     @pytest.mark.parametrize("grid, sigma1", [([0.8, 0.9], [np.nan, np.nan]),
                                               ([0.7, 0.8], [0.3, np.nan])])

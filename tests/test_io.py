@@ -252,6 +252,10 @@ class TestTableFiles:
         ("gaussian", "0.6\t2\t0.3\t0.01\n", "0.6\t2\t0.3\t0.01\n0.6\t2\t0.99\t0.01\n", 10),
         ("gaussian", "0.4\t1\t0.1\t0.01\n", "0.4\t1\t0.1\t0.01\n0.4\t1\t0.2\t0.01\n", 8),
         ("gaussian", "0.4\t1", "0.75\t1", 7),             # p=1 where Sigma_1 diverges
+        ("stable", "1\t0.8\t", "1\tnan\t", 7),            # non-finite lambda
+        ("stable", "1\t0.8\t0.001\t0.1\t", "1\t0.8\t0.001\tnan\t", 7),  # non-finite sigma_sq
+        ("gaussian", "0.6\t2\t0.3", "0.6\t2\tinf", 9),    # non-finite sigma
+        ("gaussian", "0.4\t1", "0.3\t1", 7),              # p=1 row with no p=2 row at its H
     ])
     def test_malformed_table_parse_error(self, tmp_path, capsys, kind, old, new, line):
         good = STABLE_FILE if kind == "stable" else GAUSSIAN_FILE
