@@ -10,6 +10,7 @@ import argparse
 import inspect
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -185,8 +186,14 @@ def cmd_simulate(args):
 
 def cmd_tables(args):
     kind = tableio.KINDS[args.kind]
+    start = time.perf_counter()
+
+    def progress(i, total):
+        print(f"{args.kind} cell {i}/{total} ({time.perf_counter() - start:.1f} s)",
+              file=sys.stderr)
+
     table = kind.build(**_accepted(kind.build, seed=args.seed, reps=args.reps,
-                                   path_len=args.path_len))
+                                   path_len=args.path_len, progress=progress))
     fn = args.out
     if fn is None:  # made only once the build has succeeded
         d = _table_dir(args)

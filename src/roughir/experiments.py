@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, RangeError, SizeError
 from .gaussian import (LAMBDA2_HIGH, LAMBDA2_LOW, Lambda_p, _check_sigma_p, estimate_H,
                        invert_Lambda2, lam)
 from .increments import SampledPath
@@ -123,12 +123,17 @@ def exp_clt_fbm(variance_table, h_values=(0.3, 0.5, 0.7), p=2, n=4096,
     for hi, (H, sigma) in enumerate(zip(h_values, sigmas)):
         sampler = FbmSampler(n, H)
         vals = np.empty(reps)
-        covered = 0
+        covered = failed = 0
         for i in range(reps):
             rng = derive_rng(seed, "experiment", 1, hi, i)
             path = sampler.sample_path(rng)
             if p == 2:  # estimate_H computes r_pn(path, 2) itself
-                est = estimate_H(path, variance_table, conf=conf)
+                try:
+                    est = estimate_H(path, variance_table, conf=conf)
+                except RangeError:  # no interval: it does not cover H
+                    failed += 1
+                    vals[i] = r_pn(path, 2).value
+                    continue
                 vals[i] = est.statistic.value
                 covered += est.ci_low <= H <= est.ci_high
             else:
@@ -148,7 +153,8 @@ def exp_clt_fbm(variance_table, h_values=(0.3, 0.5, 0.7), p=2, n=4096,
                       f"in [{coverage_band[0]}, {coverage_band[1]}]",
                       coverage_band[0] <= cov <= coverage_band[1])
         rep.aggregates[f"H={H}"] = {"mean": vals.mean(), "se_mean": se,
-                                    "n_var": nvar, "table_entry": sigma}
+                                    "n_var": nvar, "table_entry": sigma,
+                                    "estimates_failed": failed}
     return rep.finish()
 
 

@@ -31,7 +31,8 @@ def sym_stable_from_uniform_exp(alpha, u, w):
     """Chambers-Mallows-Stuck transform of Unif(-pi/2,pi/2) x Exp(1) draws.
 
     Deterministic in (u, w), which lets table builds reuse one set of
-    uniforms across every alpha (common random numbers).
+    uniforms across every alpha (common random numbers).  The result has
+    the broadcast shape of u and w; neither is written to.
     """
     try:
         alpha = float(alpha)
@@ -39,10 +40,32 @@ def sym_stable_from_uniform_exp(alpha, u, w):
         raise DomainError(f"stable index must be a real scalar, got {alpha!r}") from None
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"stable index must lie in (0,2], got {alpha}")
+    u, w = np.asarray(u, float), np.asarray(w, float)
+    shape = np.broadcast_shapes(u.shape, w.shape)
+    out, tmp = np.empty(shape), np.empty(shape)
+    return _cms(alpha, u, w, None if alpha == 1.0 else np.cos(u), out, tmp)
+
+
+def _cms(alpha, u, w, cos_u, out, tmp):
+    """The CMS transform written into out, given cos_u = cos(u) and a
+    scratch buffer tmp of out's shape.
+
+    The same ufuncs in the same order as the one expression
+    sin(a u) / cos(u)^(1/a) * (cos((1-a) u) / w)^((1-a)/a), so the same
+    bits; the powers use the ** operator, whose scalar-exponent fast paths
+    (sqrt, square, ...) np.power does not take.
+    """
     if alpha == 1.0:
-        return np.tan(u)
-    return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+        return np.tan(u, out=out)
+    np.sin(np.multiply(alpha, u, out=out), out=out)
+    np.copyto(tmp, cos_u)
+    tmp **= 1.0 / alpha
+    out /= tmp
+    np.cos(np.multiply(1.0 - alpha, u, out=tmp), out=tmp)
+    tmp /= w
+    tmp **= (1.0 - alpha) / alpha
+    out *= tmp
+    return out
 
 
 def sample_sym_stable(alpha, rng, size=None):
@@ -150,13 +173,13 @@ def build_stable_table(reps=1_000_000, seed=20240602, alpha_grid=None, progress=
     rng = derive_rng(seed, "stable_table")
     u = rng.uniform(-math.pi / 2, math.pi / 2, (reps, 3))
     w = rng.exponential(1.0, (reps, 3))
+    cos_u, z, tmp = np.cos(u), np.empty_like(u), np.empty_like(u)  # shared by every alpha
     lam_raw = np.empty(grid.size)
     lam_se = np.empty(grid.size)
     sig = np.empty(grid.size)
     sig_se = np.empty(grid.size)
     for i, aa in enumerate(grid):
-        z = sym_stable_from_uniform_exp(float(aa), u, w)
-        lam_raw[i], lam_se[i], s, sig_se[i] = _psi_moments(z)
+        lam_raw[i], lam_se[i], s, sig_se[i] = _psi_moments(_cms(float(aa), u, w, cos_u, z, tmp))
         sig[i] = max(s, 0.0)
         if progress is not None:
             progress(i + 1, grid.size)

@@ -326,6 +326,17 @@ class TestTables:
         assert "replications" in capsys.readouterr().err
         assert not (tmp_path / "s.tsv").exists()
 
+    def test_reports_progress_per_cell(self, tmp_path, capsys):
+        out = tmp_path / "s.tsv"
+        assert run("tables", "--kind", "stable", "--reps", "10000", "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        cells = [line for line in captured.err.splitlines() if line.startswith("stable cell ")]
+        total = ri.stable.ALPHA_GRID_DEFAULT.size
+        assert [line.split(" (")[0] for line in cells] == [
+            f"stable cell {i}/{total}" for i in range(1, total + 1)]
+        assert all(line.endswith(" s)") for line in cells)
+        assert captured.out.splitlines() == [f"wrote {out} (kind=stable, reps=10000, seed=20240602)"]
+
     def test_gaussian_columns_positive(self, tmp_path):
         out = tmp_path / "g.tsv"
         assert run("tables", "--kind", "gaussian", "--reps", "100",
@@ -343,6 +354,18 @@ class TestTables:
 
 
 class TestExperimentCommand:
+    def test_clt_fbm_failed_estimates_still_report(self, tmp_path, capsys,
+                                                   coarse_variance_table):
+        d = tmp_path / "tables"
+        d.mkdir()
+        ri.save_variance_table(coarse_variance_table, str(d / "gaussian.tsv"))
+        out = tmp_path / "rep.json"
+        code = run("--table-dir", str(d), "experiment", "--name", "clt-fbm", "--h", "0.33",
+                   "--n", "256", "--reps", "50", "--strict", "--out", str(out))
+        assert code in (0, 1)
+        assert "experiment clt-fbm:" in capsys.readouterr().out
+        assert json.loads(out.read_text())["aggregates"]["H=0.33"]["estimates_failed"] > 0
+
     def test_smooth_limit_report(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
         code = run("experiment", "--name", "smooth-limit", "--out", str(out))

@@ -98,6 +98,27 @@ class TestSmallScaleRuns:
         assert rep.aggregates["H=0.52"]["table_entry"] == sigma
         assert [v.target for v in rep.verdicts if v.name.startswith("n*var")] == [sigma]
 
+    @pytest.mark.parametrize("H, seed", [(0.33, 1001), (0.2, 2)],
+                             ids=["h-hat-below-grid", "statistic-out-of-range"])
+    def test_clt_fbm_failed_estimate_keeps_its_replication(self, coarse_variance_table,
+                                                           monkeypatch, H, seed):
+        # one replication's RangeError used to end the run; each now counts
+        # as an interval that misses H, and keeps its statistic
+        calls = []
+        r_pn = experiments.r_pn
+        monkeypatch.setattr(experiments, "r_pn",
+                            lambda path, p: calls.append(p) or r_pn(path, p))
+        rep = exp_clt_fbm(coarse_variance_table, h_values=(H,), n=256, reps=50, seed=seed)
+        failed = rep.aggregates[f"H={H}"]["estimates_failed"]
+        assert failed > 0
+        assert calls == [2] * failed  # r_pn is rerun only for a failed estimate
+        sampler = ri.FbmSampler(256, H)
+        assert rep.replications[f"R2_H{H}"] == [
+            ri.r_pn(sampler.sample_path(derive_rng(seed, "experiment", 1, 0, i)), 2).value
+            for i in range(50)]
+        coverage = [v.observed for v in rep.verdicts if "coverage" in v.name]
+        assert coverage[0] <= 1.0 - failed / 50
+
     def test_levy_clt_small(self, stable_table):
         rep = exp_levy_clt(stable_table, alphas=(1.2,), n=2048, reps=120,
                            seed=12, var_rtol=0.35, psi0_alphas=(1.2,))

@@ -7,7 +7,22 @@ from scipy.stats import cauchy, kstest
 
 import roughir as ri
 from roughir.errors import DomainError, RangeError, SizeError
-from roughir.stable import _pava_decreasing
+from roughir.rng import derive_rng
+from roughir.stable import _pava_decreasing, _psi_moments, sym_stable_from_uniform_exp
+
+
+def cms(alpha, u, w):
+    """The Chambers-Mallows-Stuck transform as one expression: the
+    reference for the bits of the library's in-place kernel."""
+    if alpha == 1.0:
+        return np.tan(u)
+    return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+
+
+def uniform_exp(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-math.pi / 2, math.pi / 2, shape), rng.exponential(1.0, shape)
 
 
 class TestSampler:
@@ -114,6 +129,43 @@ class TestGrid:
     def test_unusable_grid_rejected(self, grid):
         with pytest.raises(DomainError, match="strictly increasing"):
             ri.build_stable_table(reps=10_000, seed=1, alpha_grid=grid)
+
+
+class TestCmsKernel:
+    @pytest.mark.parametrize("alpha", [0.05, 0.7, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("shape", [(5000,), (2000, 3)], ids=["1d", "m-by-3"])
+    def test_bits_of_the_one_expression_form(self, alpha, shape):
+        u, w = uniform_exp(shape, 21)
+        assert np.array_equal(sym_stable_from_uniform_exp(alpha, u, w), cms(alpha, u, w))
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_read_only_inputs_left_unchanged(self, alpha):
+        u, w = uniform_exp((1000, 3), 22)
+        u0, w0 = u.copy(), w.copy()
+        u.flags.writeable = w.flags.writeable = False
+        z = sym_stable_from_uniform_exp(alpha, u, w)
+        assert np.array_equal(z, cms(alpha, u0, w0))
+        assert np.array_equal(u, u0) and np.array_equal(w, w0)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 2.0])
+    def test_broadcast_pair(self, alpha):
+        u, w = uniform_exp((1000, 3), 23)
+        u = u[:, :1]
+        z = sym_stable_from_uniform_exp(alpha, u, w)
+        assert z.shape == (1000, 3)
+        assert np.array_equal(z, np.broadcast_to(cms(alpha, u, w), z.shape))
+
+    def test_table_matches_a_loop_over_the_expression(self):
+        grid, reps, seed = [0.3, 1.0, 1.7, 2.0], 20_000, 24
+        t = ri.build_stable_table(reps=reps, seed=seed, alpha_grid=grid)
+        rng = derive_rng(seed, "stable_table")
+        u = rng.uniform(-math.pi / 2, math.pi / 2, (reps, 3))
+        w = rng.exponential(1.0, (reps, 3))
+        lam, lam_se, sig, sig_se = np.array([_psi_moments(cms(a, u, w)) for a in grid]).T
+        assert np.array_equal(t.lam_raw, lam)
+        assert np.array_equal(t.lam_stderr, lam_se)
+        assert np.array_equal(t.sigma_sq, np.maximum(sig, 0.0))
+        assert np.array_equal(t.sigma_sq_stderr, sig_se)
 
 
 class TestTable:
