@@ -131,11 +131,13 @@ def _bands(value):
 
 def _build_spec(args):
     cfg = _read_config(args.config) if args.config else {}
+    used = set()
 
     def read(name, convert=float, default=None, key=None, choices=None):
         """--name, else the config line <key>= (key defaults to name), else
         default, then checked and converted; None when absent.  A malformed
         value raises RoughIRError naming the flag."""
+        used.add(key or name)
         value = getattr(args, name)
         value = cfg.get(key or name, default) if value is None else value
         if value is None:
@@ -153,26 +155,29 @@ def _build_spec(args):
         return RoughIRError(f"simulate needs --{flag} or a config line {key}=")
 
     kind, n = read("kind", lambda v: v.replace("-", "_")), read("n", int)
-    if kind is None:
-        raise needs("kind")
-    fn = simulator(kind)
-    h0, h1 = read("h_start"), read("h_end")
+    h, h0, h1 = read("h"), read("h_start"), read("h_end")
     sigmas, hursts = read("band", _bands, key="bands") or (None, None)
-    # a flag reaches the simulators whose signature names its parameter
-    params = _accepted(
-        fn, n=n, H=read("h") if None in (h0, h1) else [[0.0, h0], [1.0, h1]],
+    given = dict(
+        n=n, H=h if None in (h0, h1) else [[0.0, h0], [1.0, h1]],
         breaks=read("breaks", lambda t: [float(x) for x in t.split(",") if x.strip()], ""),
         sigmas=sigmas, hursts=hursts,
         preset=read("diffusion", str, key="preset", choices=DIFFUSION_PRESETS),
-        refine=args.refine, x0=args.x0,  # flags only
-        **{k: read(k) for k in ("alpha", "scale", "a_weight", "rate", "jump_scale",
+        refine=read("refine", int),
+        **{k: read(k) for k in ("x0", "alpha", "scale", "a_weight", "rate", "jump_scale",
                                 "stable_alpha", "stable_c", "stable_cutoff")})
+    trend = TREND_PRESETS[read("trend", str, "none", choices=TREND_PRESETS)]
+    seed = read("seed", int, 0)
+    unknown = sorted(set(cfg) - used)
+    if unknown:
+        raise RoughIRError(f"unknown config key(s) {', '.join(unknown)} in {args.config}")
+    if kind is None:
+        raise needs("kind")
+    fn = simulator(kind)
+    params = _accepted(fn, **given)  # a flag reaches the simulators that name its parameter
     for name, p in inspect.signature(fn).parameters.items():
         if p.default is p.empty and name not in params and name != "seed":
             raise needs(name)
-    trend = TREND_PRESETS[read("trend", str, "none", choices=TREND_PRESETS)]
-    return SimSpec(kind=kind, n=params.pop("n"), seed=read("seed", int, 0), params=params,
-                   trend=trend)
+    return SimSpec(kind=kind, n=params.pop("n"), seed=seed, params=params, trend=trend)
 
 
 def cmd_simulate(args):

@@ -17,7 +17,6 @@ the statistic's variance.
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -282,12 +281,12 @@ def _pchip(x, y):
 H_GRID_DEFAULT = np.round(np.arange(0.05, 0.9501, 0.05), 10)
 
 
-def _grid(values, default, name, least):
-    """A builder's grid (default if values is None): 1-D, strictly increasing, >= least points."""
+def _grid(values, default, name):
+    """A table's grid (default if values is None): 1-D, strictly increasing, >= 2 points."""
     grid = default if values is None else np.asarray(values, dtype=float)
-    if grid.ndim != 1 or grid.size < least or not np.all(np.diff(grid) > 0):
-        raise DomainError(f"{name} grid must hold at least {least} strictly increasing "
-                          f"point(s), got {grid.tolist()}")
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
+        raise DomainError(f"{name} grid must hold at least 2 strictly increasing "
+                          f"points, got {grid.tolist()}")
     return grid
 
 
@@ -296,8 +295,8 @@ class VarianceTable:
     """Monte Carlo table of the asymptotic variances on an H grid.
 
     sigma1 covers only the H < 3/4 part of the grid (NaN elsewhere);
-    sigma2 covers all of it.  Interpolation is monotone cubic in H and
-    extrapolation is refused.
+    sigma2 covers all of it.  Each curve's monotone cubic interpolant in H
+    is built at construction, and extrapolation is refused.
     """
 
     h_grid: np.ndarray
@@ -312,30 +311,28 @@ class VarianceTable:
     def __post_init__(self):
         for name in ("h_grid", "sigma1", "sigma1_stderr", "sigma2", "sigma2_stderr"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        _grid(self.h_grid, None, "H")
         if (self.sigma1 < 0).any() or (self.sigma2 < 0).any():
             raise DomainError("variance entries must be nonnegative")
-
-    @cached_property
-    def _curves(self):
-        """p -> (H grid, PCHIP of Sigma_p on it), each built on first use."""
-        return {}
+        pchips = {}  # p -> (first H, last H, PCHIP of Sigma_p) over its known entries
+        for p, vals in ((1, self.sigma1), (2, self.sigma2)):
+            known = ~np.isnan(vals)
+            if known.sum() >= 2:
+                grid = self.h_grid[known]
+                pchips[p] = (float(grid[0]), float(grid[-1]), _pchip(grid, vals[known]))
+        object.__setattr__(self, "_pchips", pchips)
 
     def sigma(self, p, H):
         """Monotone-cubic interpolated Sigma_p at H; no extrapolation."""
-        if p not in (1, 2):
-            raise DomainError(f"p must be 1 or 2, got {p}")
-        if p not in self._curves:
-            vals = self.sigma1 if p == 1 else self.sigma2
-            known = ~np.isnan(vals)
-            if known.sum() < 2:
-                raise InterpolationError(
-                    f"the table has {known.sum()} grid point(s) for p={p}; need 2 to interpolate")
-            self._curves[p] = (self.h_grid[known], _pchip(self.h_grid[known], vals[known]))
-        grid, interp = self._curves[p]
-        if not grid[0] <= H <= grid[-1]:
-            raise InterpolationError(
-                f"H={H:.4f} outside the tabulated grid [{grid[0]}, {grid[-1]}] for p={p}",
-                low=float(grid[0]), high=float(grid[-1]))
+        _check_sigma_p(p, H)
+        curve = self._pchips.get(p)
+        if curve is None:
+            raise InterpolationError(f"the table has fewer than 2 grid points for p={p}; "
+                                     "need 2 to interpolate")
+        low, high, interp = curve
+        if not low <= H <= high:
+            raise InterpolationError(f"H={H:.4f} outside the tabulated grid [{low}, {high}] "
+                                     f"for p={p}", low=low, high=high)
         return interp(H)
 
 
@@ -346,7 +343,7 @@ def build_variance_table(reps=2000, path_len=4096, seed=20240601,
     Every (p, H) cell gets its own derived seed, so the table is
     reproducible and independent of build order.
     """
-    grid = _grid(h_grid, H_GRID_DEFAULT, "H", least=1)
+    grid = _grid(h_grid, H_GRID_DEFAULT, "H")
     s1 = np.full(grid.size, np.nan)
     s1e = np.full(grid.size, np.nan)
     s2 = np.empty(grid.size)

@@ -14,7 +14,6 @@ monotone-smoothed, and inverted to estimate alpha.
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -117,8 +116,8 @@ class LambdaTildeTable:
     """Tabulated limit curve and variance for the stable-index estimator.
 
     lam holds the monotone-smoothed curve used for inversion; lam_raw the
-    unsmoothed Monte Carlo means.  dlam is the derivative of the smoothed
-    curve (centered differences, one-sided at the ends).
+    unsmoothed Monte Carlo means.  Construction derives dlam, the smoothed
+    curve's slope (np.gradient), and the inverse; a slope not below 0 is refused.
     """
 
     alpha_grid: np.ndarray
@@ -126,28 +125,28 @@ class LambdaTildeTable:
     lam_stderr: np.ndarray
     sigma_sq: np.ndarray
     sigma_sq_stderr: np.ndarray
-    dlam: np.ndarray
     reps: int
     seed: int
     lam_raw: np.ndarray | None = None
     monotone_violations: int = 0
 
     def __post_init__(self):
-        for name in ("alpha_grid", "lam", "lam_stderr", "sigma_sq",
-                     "sigma_sq_stderr", "dlam"):
+        for name in ("alpha_grid", "lam", "lam_stderr", "sigma_sq", "sigma_sq_stderr"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        _grid(self.alpha_grid, None, "alpha")
         if self.lam.min() < 0.5 - 3.0 * self.lam_stderr.max() or self.lam.max() > 1.0:
             raise DomainError("limit-curve entries must lie in [1/2, 1]")
-
-    @cached_property
-    def _inverse(self):
-        """PCHIP of alpha against the strictly decreasing part of the curve
-        (flat PAVA segments keep their last point), built once per table;
-        None when fewer than two points remain."""
+        dlam = _frozen(np.gradient(self.lam, self.alpha_grid))
+        not_falling = ~(dlam < 0)
+        if not_falling.any():
+            raise DomainError(f"the limit curve's slope is not below 0 at "
+                              f"alpha={self.alpha_grid[not_falling.argmax()]:g}")
+        object.__setattr__(self, "dlam", dlam)
+        # alpha as a PCHIP of the strictly falling part of the curve (a flat PAVA
+        # segment keeps its last point; a slope below 0 leaves >= 2 points)
         keep = np.concatenate([self.lam[:-1] > self.lam[1:], [True]])
-        if keep.sum() < 2:
-            return None
-        return _pchip(self.lam[keep][::-1], self.alpha_grid[keep][::-1])
+        object.__setattr__(self, "_alpha_of",
+                           _pchip(self.lam[keep][::-1], self.alpha_grid[keep][::-1]))
 
     def interp(self, column, alpha):
         vals = getattr(self, column)
@@ -169,7 +168,7 @@ def build_stable_table(reps=1_000_000, seed=20240602, alpha_grid=None, progress=
     """
     if reps < 10_000:  # the 40-batch stderr of _psi_moments
         raise SizeError(f"need at least 1e4 replications, got {reps}")
-    grid = _grid(alpha_grid, ALPHA_GRID_DEFAULT, "alpha", least=2)
+    grid = _grid(alpha_grid, ALPHA_GRID_DEFAULT, "alpha")
     rng = derive_rng(seed, "stable_table")
     u = rng.uniform(-math.pi / 2, math.pi / 2, (reps, 3))
     w = rng.exponential(1.0, (reps, 3))
@@ -187,9 +186,7 @@ def build_stable_table(reps=1_000_000, seed=20240602, alpha_grid=None, progress=
     if violations:
         warnings.warn(f"{violations} non-monotone steps in the raw limit curve "
                       "(within MC noise); smoothing enforces monotonicity")
-    lam_s = _pava_decreasing(lam_raw)
-    dlam = np.gradient(lam_s, grid)
-    return LambdaTildeTable(grid, lam_s, lam_se, sig, sig_se, dlam,
+    return LambdaTildeTable(grid, _pava_decreasing(lam_raw), lam_se, sig, sig_se,
                             reps=reps, seed=seed, lam_raw=lam_raw,
                             monotone_violations=violations)
 
@@ -207,10 +204,7 @@ def invert_lambda_tilde(v, table):
             f"statistic value {v:.6f} outside the tabulated range [{lo:.6f}, {hi:.6f}]",
             low=lo, high=hi,
         )
-    inv = table._inverse
-    if inv is None:
-        raise RangeError("limit curve is flat; cannot invert", low=lo, high=hi)
-    return inv(v)
+    return table._alpha_of(v)
 
 
 @dataclass(frozen=True)
@@ -234,9 +228,9 @@ def estimate_alpha(path, table, conf=0.95):
 
     alpha_hat inverts the smoothed Monte Carlo curve on r_tilde_2n; the
     standard error is sqrt(sigma_tilde^2 / dlam^2) / sqrt(n) (Delta
-    method on the tabulated derivative).  Out-of-range statistics clamp
-    to the nearest boundary instead of failing: sampling noise routinely
-    crosses the alpha = 2 edge.
+    method on the curve's slope, which every table keeps below 0).
+    Out-of-range statistics clamp to the nearest boundary instead of
+    failing: sampling noise routinely crosses the alpha = 2 edge.
     """
     z = _normal_quantile(path, conf)
     stat = r_tilde_2n(path)

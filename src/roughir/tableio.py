@@ -23,14 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .gaussian import VarianceTable, _check_sigma_p, _grid, build_variance_table
+from .gaussian import VarianceTable, _check_sigma_p, build_variance_table
 from .pathio import read_rows, write_rows
 from .stable import LambdaTildeTable, build_stable_table
 
 SCHEMA = "roughir-table-v1"
 VARIANCE_COLUMNS = ("H", "p", "sigma", "mc_stderr")
-STABLE_COLUMNS = ("alpha", "lambda", "lambda_stderr", "sigma_sq", "sigma_sq_stderr",
-                  "dlambda_dalpha")
+STABLE_COLUMNS = ("alpha", "lambda", "lambda_stderr", "sigma_sq", "sigma_sq_stderr")
 
 
 def _read(filename, kind, columns, meta_keys):
@@ -69,6 +68,14 @@ def _read(filename, kind, columns, meta_keys):
     return ints, data
 
 
+def _table(cls, *columns, **ints):
+    """cls(*columns, **ints), where breaking a rule of the table is a ParseError."""
+    try:
+        return cls(*columns, **ints)
+    except DomainError as e:
+        raise ParseError(str(e), line=None) from None
+
+
 def save_variance_table(table, filename):
     rows = []
     for p, sig, se in ((1, table.sigma1, table.sigma1_stderr),
@@ -100,12 +107,12 @@ def load_variance_table(filename):
     grid = np.array(sorted(by_p[2]))
     s1, s1e = np.array([by_p[1].get(h, (math.nan, math.nan)) for h in grid]).T
     s2, s2e = np.array([by_p[2][h] for h in grid]).T
-    return VarianceTable(grid, s1, s1e, s2, s2e, **ints)
+    return _table(VarianceTable, grid, s1, s1e, s2, s2e, **ints)
 
 
 def save_stable_table(table, filename):
     rows = zip(table.alpha_grid, table.lam, table.lam_stderr, table.sigma_sq,
-               table.sigma_sq_stderr, table.dlam)
+               table.sigma_sq_stderr)
     meta = {"schema": SCHEMA, "kind": "stable", "reps": table.reps, "seed": table.seed,
             "monotone_violations": table.monotone_violations}
     write_rows(filename, meta, rows, header=STABLE_COLUMNS)
@@ -117,14 +124,12 @@ def load_stable_table(filename):
     lines, data = zip(*sorted(rows, key=lambda row: row[1][0]))  # by alpha
     data = np.array(data).T
     step = np.diff(data[:2])  # the alpha steps and the lambda steps
-    try:
-        _grid(data[0], None, "alpha", least=2)  # the builders' grid rule
-    except DomainError as e:  # sorted alphas break it only by a repeat
-        raise ParseError(str(e), line=lines[step[0].argmin() + 1] if step.size else None) from None
-    if (step[1] > 0).any():  # PAVA's curve never rises
-        raise ParseError("lambda rises with alpha; the limit curve is nonincreasing",
-                         line=lines[(step[1] > 0).argmax() + 1])
-    return LambdaTildeTable(*data, **ints)
+    # the rules that a row breaks, named with its line; the table checks the rest
+    for bad, rule in ((step[0] == 0, "repeated alpha"),  # sorted alphas never fall
+                      (step[1] > 0, "lambda rises with alpha; the limit curve is nonincreasing")):
+        if bad.any():
+            raise ParseError(rule, line=lines[bad.argmax() + 1])
+    return _table(LambdaTildeTable, *data, **ints)
 
 
 TableKind = namedtuple("TableKind", "build save load")

@@ -95,6 +95,26 @@ class TestSimulate:
         assert meta["kind"] == "levy_stable"
         assert path.n == 512
 
+    def test_config_refine_and_x0_match_the_flags(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("kind=diffusion\nn=64\nseed=3\npreset=mean-reverting\n"
+                       "refine=16\nx0=5\n")
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        assert run("simulate", "--config", str(cfg), "--out", str(a)) == 0
+        assert run("simulate", "--kind", "diffusion", "--n", "64", "--seed", "3",
+                   "--diffusion", "mean-reverting", "--refine", "16", "--x0", "5",
+                   "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_unknown_config_key_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("kind=levy-stable\nn=64\nalpha=1.5\nalpah=1.5\n")
+        out = tmp_path / "x.tsv"
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key(s) alpah ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_trend_preset(self, tmp_path):
         out = tmp_path / "t.tsv"
         assert run("simulate", "--kind", "brownian", "--n", "128", "--seed", "2",

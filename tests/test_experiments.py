@@ -131,7 +131,7 @@ class TestSmallScaleRuns:
                              ids=["alpha-below-grid", "grid-without-alpha-2"])
     def test_levy_clt_missing_target_before_any_draw(self, stable_table, monkeypatch,
                                                      grid_end, alphas):
-        columns = ("alpha_grid", "lam", "lam_stderr", "sigma_sq", "sigma_sq_stderr", "dlam")
+        columns = ("alpha_grid", "lam", "lam_stderr", "sigma_sq", "sigma_sq_stderr")
         table = ri.LambdaTildeTable(*(getattr(stable_table, c)[:grid_end] for c in columns),
                                     reps=stable_table.reps, seed=stable_table.seed)
         draws = []

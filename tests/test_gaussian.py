@@ -224,7 +224,7 @@ def test_derive_seed_is_the_seed_sequence_word():
     with pytest.raises(DomainError, match="nonnegative"):
         derive_seed(-1, 2, 1)
     with pytest.raises(DomainError, match="nonnegative"):
-        ri.build_variance_table(reps=100, path_len=64, seed=-1, h_grid=[0.5])
+        ri.build_variance_table(reps=100, path_len=64, seed=-1, h_grid=[0.4, 0.6])
 
 
 class TestVarianceTable:
@@ -275,10 +275,20 @@ class TestVarianceTable:
         assert [variance_table.sigma(p, x) for x in h] == [float(fresh(x)) for x in h]
 
     def test_extrapolation_forbidden(self, variance_table):
-        with pytest.raises(InterpolationError):
+        with pytest.raises(InterpolationError, match="outside the tabulated grid") as exc:
             variance_table.sigma(2, 0.99)
-        with pytest.raises(InterpolationError):
-            variance_table.sigma(1, 0.9)  # p=1 grid stops below 3/4
+        assert (exc.value.low, exc.value.high) == (0.05, 0.95)
+        with pytest.raises(InterpolationError, match="outside the tabulated grid"):
+            variance_table.sigma(1, 0.01)
+
+    @pytest.mark.parametrize("p, H", [(1, 0.75), (1, 0.9), (3, 0.5)])
+    def test_sigma_p_rule_is_sigma_p_mc_rule(self, variance_table, p, H):
+        # Sigma_1 diverges for H >= 3/4: the table says so as sigma_p_mc does
+        with pytest.raises(DomainError) as table_exc:
+            variance_table.sigma(p, H)
+        with pytest.raises(DomainError) as mc_exc:
+            ri.sigma_p_mc(p, H)
+        assert str(table_exc.value) == str(mc_exc.value)
 
     def test_out_of_grid_estimate_is_range_error_with_grid_ends(self, variance_table):
         # fBm at H=0.97 and n=8192 inverts to h_hat = 0.9765, past the grid's 0.95
@@ -287,8 +297,8 @@ class TestVarianceTable:
         assert isinstance(exc.value, InterpolationError)
         assert (exc.value.low, exc.value.high) == (0.05, 0.95)
 
-    @pytest.mark.parametrize("grid", [[0.6, 0.4], [0.4, 0.4, 0.6], [[0.4, 0.6]]],
-                             ids=["decreasing", "repeated", "2-D"])
+    @pytest.mark.parametrize("grid", [[0.6, 0.4], [0.4, 0.4, 0.6], [[0.4, 0.6]], [0.5]],
+                             ids=["decreasing", "repeated", "2-D", "one-point"])
     def test_unusable_grid_rejected_before_any_draw(self, grid, monkeypatch):
         draws = []
         sample_path = ri.FbmSampler.sample_path
@@ -298,20 +308,22 @@ class TestVarianceTable:
             ri.build_variance_table(reps=100, path_len=64, seed=1, h_grid=grid)
         assert draws == []
 
-    def test_one_point_grid_builds(self):
-        table = ri.build_variance_table(reps=100, path_len=64, seed=1, h_grid=[0.5])
-        assert table.h_grid.tolist() == [0.5]
-        assert table.sigma2[0] > 0
+    def test_one_point_table_refused(self):
+        with pytest.raises(DomainError, match="at least 2"):
+            ri.VarianceTable(np.array([0.5]), np.array([0.3]), np.array([0.01]),
+                             np.array([0.2]), np.array([0.01]), reps=100, path_len=256, seed=0)
 
-    @pytest.mark.parametrize("grid, sigma1", [([0.8, 0.9], [np.nan, np.nan]),
-                                              ([0.7, 0.8], [0.3, np.nan])])
-    def test_missing_curve_is_interpolation_error(self, grid, sigma1):
+    @pytest.mark.parametrize("grid, sigma1, error", [
+        ([0.8, 0.9], [np.nan, np.nan], DomainError),  # Sigma_1 diverges at both H
+        ([0.7, 0.8], [0.3, np.nan], InterpolationError),  # one H below 3/4: too few to interpolate
+    ], ids=["no-p1-entry", "one-p1-entry"])
+    def test_missing_p1_curve_refused(self, grid, sigma1, error):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = ri.VarianceTable(np.array(grid), np.array(sigma1), np.array(sigma1),
                                      np.array([0.2, 0.3]), np.array([0.01, 0.01]),
                                      reps=100, path_len=256, seed=0)
-        with pytest.raises(InterpolationError):
+        with pytest.raises(error):
             table.sigma(1, grid[0])
         assert table.sigma(2, grid[-1]) == 0.3
 

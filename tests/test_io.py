@@ -140,12 +140,13 @@ def _write_appendix(fn):
 @pytest.mark.parametrize("write, digest", [
     (_write_path, "4adccdfd2a892df7cee4ac6c24c5a65065b14edd579a5f2b424fb34d6e40a05f"),
     (_write_variance_table, "92612b4856445b8ae94da2fad8290ae8db4fc533fc0878df22e4f27259fbc9a7"),
-    (_write_stable_table, "aa960982820c8fde16e76da8a4fe009eab2c63067d2a9ae02ccece1e7ccd6225"),
+    (_write_stable_table, "6891ca1c8dd07a83a8163f0c3f8e3a81f92b7950965e8ffb01a3b6a642505145"),
     (_write_appendix, "4bf8689295d0ccad7078282bd13081aab461d8a290b8505701c9adc16643acc1"),
 ], ids=["path", "variance-table", "stable-table", "appendix"])
 def test_written_bytes_pinned(tmp_path, write, digest):
     # digests of the files that separate per-module writers produced; the
-    # shared writer must keep every byte
+    # shared writer must keep every byte (the stable table's since its
+    # files dropped the dlambda_dalpha column)
     fn = str(tmp_path / "out.tsv")
     write(fn)
     with open(fn, "rb") as f:
@@ -221,6 +222,17 @@ class TestTableFiles:
         assert np.array_equal(t.lam, u.lam)
         assert np.array_equal(t.sigma_sq, u.sigma_sq)
         assert np.array_equal(t.dlam, u.dlam)
+        header = next(line for line in fn.read_text().splitlines() if line[0] != "#")
+        assert header.split("\t") == list(tableio.STABLE_COLUMNS)  # no slope column
+
+    def test_stored_slope_column_ignored(self, tmp_path):
+        # older files carry a dlambda_dalpha column; a table derives its slope
+        fn = tmp_path / "s.tsv"
+        fn.write_text(STABLE_FILE)
+        assert "\tdlambda_dalpha\n" in STABLE_FILE and "\t-0.2\n" in STABLE_FILE
+        t = ri.load_stable_table(str(fn))
+        assert np.array_equal(t.dlam, np.gradient(t.lam, t.alpha_grid))
+        assert t.dlam.tolist() != [-0.2, -0.2]
 
     def test_rebuild_same_seed_identical_file(self, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
@@ -241,7 +253,7 @@ class TestTableFiles:
         ("gaussian", "0.6\t2", "0.6\t3", 9),              # unknown p
         ("gaussian", "0.4\t2", "0.4\t2.5", 8),            # non-integer p
         ("gaussian", "0.4\t2\t0.2\t0.01\n0.6\t2\t0.3\t0.01\n", "", None),  # no p=2 rows
-        ("stable", "\tdlambda_dalpha", "\tslope", None),  # missing column
+        ("stable", "\tsigma_sq_stderr", "\tslope", None),  # missing column
         ("stable", "# reps=20000\n", "", None),            # missing metadata
         ("stable", "# seed=4\n", "# seed=four\n", None),
         ("gaussian", "# seed=3\n", "", None),
@@ -256,6 +268,9 @@ class TestTableFiles:
         ("stable", "1\t0.8\t0.001\t0.1\t", "1\t0.8\t0.001\tnan\t", 7),  # non-finite sigma_sq
         ("gaussian", "0.6\t2\t0.3", "0.6\t2\tinf", 9),    # non-finite sigma
         ("gaussian", "0.4\t1", "0.3\t1", 7),              # p=1 row with no p=2 row at its H
+        ("gaussian", "0.6\t2\t0.3\t0.01\n", "", None),     # one p=2 row
+        ("stable", "2\t0.7\t", "2\t0.8\t", None),          # flat lambda: no inverse
+        ("stable", "\n2\t", "\n1.5\t0.7\t0.001\t0.1\t0.01\t-0.2\n2\t", None),  # flat at the end
     ])
     def test_malformed_table_parse_error(self, tmp_path, capsys, kind, old, new, line):
         good = STABLE_FILE if kind == "stable" else GAUSSIAN_FILE
@@ -270,7 +285,8 @@ class TestTableFiles:
         method = "alpha" if kind == "stable" else "hurst"
         assert main(["--table-dir", str(tmp_path), "estimate", "--input", str(path),
                      "--method", method]) == 2
-        assert str(exc.value) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(exc.value) in err and "Traceback" not in err
 
     def test_files_with_per_row_metadata_columns_load(self, tmp_path):
         # older writers repeated reps/path_len/seed in every row and could

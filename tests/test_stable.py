@@ -193,10 +193,33 @@ class TestTable:
 
     def test_caller_arrays_stay_writeable(self):
         grid, lam, s = np.array([1.0, 2.0]), np.array([0.8, 0.7]), np.array([0.1, 0.1])
-        t = ri.LambdaTildeTable(grid, lam, s, s, s, s, reps=1, seed=0)
+        t = ri.LambdaTildeTable(grid, lam, s, s, s, reps=1, seed=0)
         grid[0], lam[0], s[0] = 0.5, 0.9, 0.2
-        assert t.alpha_grid[0] == 1.0 and t.lam[0] == 0.8 and t.dlam[0] == 0.1
-        assert not t.lam.flags.writeable
+        assert t.alpha_grid[0] == 1.0 and t.lam[0] == 0.8 and t.sigma_sq[0] == 0.1
+        assert not t.lam.flags.writeable and not t.dlam.flags.writeable
+
+    def test_slope_derived_from_the_curve(self):
+        grid, lam = np.array([0.5, 1.0, 2.0]), np.array([0.9, 0.8, 0.7])
+        s = np.full(3, 0.01)
+        t = ri.LambdaTildeTable(grid, lam, s, s, s, reps=1, seed=0)
+        assert np.array_equal(t.dlam, np.gradient(lam, grid))
+
+    @pytest.mark.parametrize("lam, alpha", [([0.8, 0.8, 0.8], 1.0), ([0.8, 0.7, 0.7], 2.0),
+                                            ([0.8, 0.8, 0.7], 1.0)],
+                             ids=["flat", "flat-at-the-end", "flat-at-the-start"])
+    def test_curve_without_negative_slope_refused(self, lam, alpha):
+        # a slope of 0 has no inverse, and estimate_alpha divides by the slope
+        grid, s = np.array([1.0, 1.5, 2.0]), np.full(3, 0.01)
+        with pytest.raises(DomainError, match=f"slope is not below 0 at alpha={alpha:g}"):
+            ri.LambdaTildeTable(grid, np.array(lam), s, s, s, reps=1, seed=0)
+
+    def test_flat_interior_step_keeps_an_inverse(self):
+        # flat between two falling steps: both neighbours' slopes stay below 0
+        grid, s = np.array([0.5, 1.0, 1.5, 2.0]), np.full(4, 0.01)
+        t = ri.LambdaTildeTable(grid, np.array([0.9, 0.8, 0.8, 0.7]), s, s, s, reps=1, seed=0)
+        assert (t.dlam < 0).all()
+        assert ri.invert_lambda_tilde(0.8, t) == 1.5
+        assert 1.5 < ri.invert_lambda_tilde(0.75, t) < 2.0
 
     def test_lambda_bounds(self, stable_table):
         assert stable_table.lam.min() >= 0.5
