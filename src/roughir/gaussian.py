@@ -14,7 +14,6 @@ combines the closed-form chain-rule prefactor with a Monte Carlo table of
 the statistic's variance.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -223,58 +222,6 @@ def sigma_p_mc(p, H, reps=500, path_len=4096, seed=0):
 
 
 # ----------------------------------------------------------------------
-# Monotone cubic interpolation
-# ----------------------------------------------------------------------
-
-def _pchip_end_slope(h0, h1, m0, m1):
-    """One-sided three-point end slope, shape-preserving (Moler's pchiptx)."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip(x, y):
-    """Monotone cubic (PCHIP) interpolant through (x, y), x strictly increasing
-    with at least 2 points, as an evaluator of one scalar in [x[0], x[-1]].
-
-    It repeats scipy's PchipInterpolator operation for operation (Fritsch-
-    Butland slopes, one-sided end slopes, PPoly's evaluation order), so it
-    returns the same doubles without importing scipy.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if x.size == 2:
-        d = np.array([m[0], m[0]])
-    else:
-        sm = np.sign(m)
-        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-        d = np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])], inner,
-                            [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]])
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    coeffs = np.column_stack([y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h]).tolist()
-    knots = x.tolist()
-    last = len(knots) - 2
-
-    def at(v):
-        i = min(bisect.bisect_right(knots, v) - 1, last)
-        c0, c1, c2, c3 = coeffs[i]
-        s = float(v) - knots[i]
-        # the leading 0.0 is PPoly's accumulator: it turns a knot's -0.0 into 0.0
-        return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
-
-    return at
-
-
-# ----------------------------------------------------------------------
 # Variance table + Hurst estimator
 # ----------------------------------------------------------------------
 
@@ -295,8 +242,9 @@ class VarianceTable:
     """Monte Carlo table of the asymptotic variances on an H grid.
 
     sigma1 covers only the H < 3/4 part of the grid (NaN elsewhere);
-    sigma2 covers all of it.  Each curve's monotone cubic interpolant in H
-    is built at construction, and extrapolation is refused.
+    sigma2 covers all of it.  Each curve is read linearly in H between its
+    known grid points (np.interp, so a grid H reads its stored entry), and
+    extrapolation is refused.
     """
 
     h_grid: np.ndarray
@@ -314,26 +262,26 @@ class VarianceTable:
         _grid(self.h_grid, None, "H")
         if (self.sigma1 < 0).any() or (self.sigma2 < 0).any():
             raise DomainError("variance entries must be nonnegative")
-        pchips = {}  # p -> (first H, last H, PCHIP of Sigma_p) over its known entries
+        curves = {}  # p -> (H, Sigma_p) at its known entries
         for p, vals in ((1, self.sigma1), (2, self.sigma2)):
             known = ~np.isnan(vals)
             if known.sum() >= 2:
-                grid = self.h_grid[known]
-                pchips[p] = (float(grid[0]), float(grid[-1]), _pchip(grid, vals[known]))
-        object.__setattr__(self, "_pchips", pchips)
+                curves[p] = (_frozen(self.h_grid[known]), _frozen(vals[known]))
+        object.__setattr__(self, "_curves", curves)
 
     def sigma(self, p, H):
-        """Monotone-cubic interpolated Sigma_p at H; no extrapolation."""
+        """Sigma_p at H, linear between the known grid points; no extrapolation."""
         _check_sigma_p(p, H)
-        curve = self._pchips.get(p)
+        curve = self._curves.get(p)
         if curve is None:
             raise InterpolationError(f"the table has fewer than 2 grid points for p={p}; "
                                      "need 2 to interpolate")
-        low, high, interp = curve
+        grid, vals = curve
+        low, high = float(grid[0]), float(grid[-1])
         if not low <= H <= high:
             raise InterpolationError(f"H={H:.4f} outside the tabulated grid [{low}, {high}] "
                                      f"for p={p}", low=low, high=high)
-        return interp(H)
+        return float(np.interp(H, grid, vals))
 
 
 def build_variance_table(reps=2000, path_len=4096, seed=20240601,

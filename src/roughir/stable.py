@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RangeError, SizeError
-from .gaussian import _grid, _normal_quantile, _pchip
+from .gaussian import _grid, _normal_quantile
 from .increments import _frozen
 from .rng import derive_rng
 from .statistics import IRSummary, psi_terms, r_tilde_2n
@@ -117,7 +117,9 @@ class LambdaTildeTable:
 
     lam holds the monotone-smoothed curve used for inversion; lam_raw the
     unsmoothed Monte Carlo means.  Construction derives dlam, the smoothed
-    curve's slope (np.gradient), and the inverse; a slope not below 0 is refused.
+    curve's slope (np.gradient), and the inverse, which reads alpha linearly
+    between the grid points.  A curve that rises anywhere, a slope not below
+    0 and a negative sigma_sq are refused.
     """
 
     alpha_grid: np.ndarray
@@ -136,17 +138,23 @@ class LambdaTildeTable:
         _grid(self.alpha_grid, None, "alpha")
         if self.lam.min() < 0.5 - 3.0 * self.lam_stderr.max() or self.lam.max() > 1.0:
             raise DomainError("limit-curve entries must lie in [1/2, 1]")
+        if (self.sigma_sq < 0).any():
+            raise DomainError("variance entries must be nonnegative")
+        rises = np.diff(self.lam) > 0
+        if rises.any():
+            raise DomainError(f"the limit curve rises at alpha="
+                              f"{self.alpha_grid[rises.argmax() + 1]:g}; it must be nonincreasing")
         dlam = _frozen(np.gradient(self.lam, self.alpha_grid))
         not_falling = ~(dlam < 0)
         if not_falling.any():
             raise DomainError(f"the limit curve's slope is not below 0 at "
                               f"alpha={self.alpha_grid[not_falling.argmax()]:g}")
         object.__setattr__(self, "dlam", dlam)
-        # alpha as a PCHIP of the strictly falling part of the curve (a flat PAVA
-        # segment keeps its last point; a slope below 0 leaves >= 2 points)
+        # the inverse's knots: the strictly falling part of the curve, reversed to
+        # rise (a flat PAVA segment keeps its last point; a slope below 0 leaves >= 2)
         keep = np.concatenate([self.lam[:-1] > self.lam[1:], [True]])
-        object.__setattr__(self, "_alpha_of",
-                           _pchip(self.lam[keep][::-1], self.alpha_grid[keep][::-1]))
+        object.__setattr__(self, "_lam_kept", _frozen(self.lam[keep][::-1]))
+        object.__setattr__(self, "_alpha_kept", _frozen(self.alpha_grid[keep][::-1]))
 
     def interp(self, column, alpha):
         vals = getattr(self, column)
@@ -192,7 +200,8 @@ def build_stable_table(reps=1_000_000, seed=20240602, alpha_grid=None, progress=
 
 
 def invert_lambda_tilde(v, table):
-    """alpha with smoothed lam_tilde(alpha) = v, by monotone interpolation.
+    """alpha with smoothed lam_tilde(alpha) = v, linear between the grid
+    points (np.interp, so a grid point's lam_tilde reads its alpha).
 
     Raises RangeError carrying the nearest attainable boundary when v is
     outside the table's range.
@@ -204,7 +213,7 @@ def invert_lambda_tilde(v, table):
             f"statistic value {v:.6f} outside the tabulated range [{lo:.6f}, {hi:.6f}]",
             low=lo, high=hi,
         )
-    return table._alpha_of(v)
+    return float(np.interp(v, table._lam_kept, table._alpha_kept))
 
 
 @dataclass(frozen=True)
@@ -242,7 +251,7 @@ def estimate_alpha(path, table, conf=0.95):
         a_hat = float(table.alpha_grid[-1]) if stat.value <= table.lam[-1] \
             else float(table.alpha_grid[0])
     dl = table.interp("dlam", a_hat)
-    sig = max(table.interp("sigma_sq", a_hat), 0.0)
+    sig = table.interp("sigma_sq", a_hat)
     se = math.sqrt(sig) / abs(dl) / math.sqrt(path.n)
     return AlphaEstimate(alpha_hat=a_hat, stderr=se, ci_low=a_hat - z * se,
                          ci_high=a_hat + z * se, statistic=stat, confidence=conf, clamped=clamped)

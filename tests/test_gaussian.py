@@ -4,14 +4,11 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.interpolate import PchipInterpolator
 
 import roughir as ri
 from roughir.errors import DomainError, InterpolationError, RangeError, SizeError
 from roughir.experiments import exp_clt_fbm
-from roughir.gaussian import RHO2_AT_0, RHO2_AT_1, _pchip
+from roughir.gaussian import RHO2_AT_0, RHO2_AT_1
 from roughir.rng import derive_seed
 
 from .oracles import epsi_gauss_quad, p_increment_cov_quadratic_form, sigma_p_lag_sum
@@ -270,9 +267,9 @@ class TestVarianceTable:
         vals = variance_table.sigma1 if p == 1 else variance_table.sigma2
         known = ~np.isnan(vals)
         grid = variance_table.h_grid[known]
-        fresh = PchipInterpolator(grid, vals[known], extrapolate=False)
         h = np.random.default_rng(11).uniform(grid[0], grid[-1], 50)
-        assert [variance_table.sigma(p, x) for x in h] == [float(fresh(x)) for x in h]
+        assert [variance_table.sigma(p, x) for x in h] == \
+            [float(np.interp(x, grid, vals[known])) for x in h]
 
     def test_extrapolation_forbidden(self, variance_table):
         with pytest.raises(InterpolationError, match="outside the tabulated grid") as exc:
@@ -326,29 +323,6 @@ class TestVarianceTable:
         with pytest.raises(error):
             table.sigma(1, grid[0])
         assert table.sigma(2, grid[-1]) == 0.3
-
-
-# PCHIP data: flat runs, sign changes, repeats and -0.0 come from the small set
-_knot_value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
-                        st.floats(-1e3, 1e3))
-
-
-@settings(deadline=None)
-@given(x0=st.floats(-10, 10),
-       gaps=st.lists(st.floats(1e-3, 10), min_size=1, max_size=24),
-       values=st.lists(_knot_value, min_size=25, max_size=25),
-       negative_zero_at=st.integers(0, 24),
-       inside=st.lists(st.floats(0, 1), max_size=20))
-def test_pchip_is_scipy_pchip(x0, gaps, values, negative_zero_at, inside):
-    x = x0 + np.concatenate([[0.0], np.cumsum(gaps)])
-    y = np.array(values[:x.size])
-    y[negative_zero_at % x.size] = -0.0
-    points = [float(v) for v in x] + [x[0] + u * (x[-1] - x[0]) for u in inside]
-    points = [min(v, x[-1]) for v in points]
-    with np.errstate(over="ignore"):  # scipy warns when a tiny slope overflows 1/m
-        scipy_pchip = PchipInterpolator(x, y, extrapolate=False)
-    ours = _pchip(x, y)
-    assert [ours(v).hex() for v in points] == [float(scipy_pchip(v)).hex() for v in points]
 
 
 class TestEstimateH:

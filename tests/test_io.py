@@ -266,6 +266,7 @@ class TestTableFiles:
         ("gaussian", "0.4\t1", "0.75\t1", 7),             # p=1 where Sigma_1 diverges
         ("stable", "1\t0.8\t", "1\tnan\t", 7),            # non-finite lambda
         ("stable", "1\t0.8\t0.001\t0.1\t", "1\t0.8\t0.001\tnan\t", 7),  # non-finite sigma_sq
+        ("stable", "1\t0.8\t0.001\t0.1\t", "1\t0.8\t0.001\t-0.1\t", None),  # negative sigma_sq
         ("gaussian", "0.6\t2\t0.3", "0.6\t2\tinf", 9),    # non-finite sigma
         ("gaussian", "0.4\t1", "0.3\t1", 7),              # p=1 row with no p=2 row at its H
         ("gaussian", "0.6\t2\t0.3\t0.01\n", "", None),     # one p=2 row

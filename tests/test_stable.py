@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 from scipy.stats import cauchy, kstest
 
 import roughir as ri
@@ -221,6 +220,19 @@ class TestTable:
         assert ri.invert_lambda_tilde(0.8, t) == 1.5
         assert 1.5 < ri.invert_lambda_tilde(0.75, t) < 2.0
 
+    def test_rising_curve_refused(self):
+        # a rise outweighed by its neighbours' falls keeps every slope below 0,
+        # but lam = 0.71 would then have two alphas
+        grid, s = np.array([0.5, 1.0, 1.5, 2.0]), np.full(4, 0.01)
+        with pytest.raises(DomainError, match="rises at alpha=1.5"):
+            ri.LambdaTildeTable(grid, np.array([0.95, 0.7, 0.72, 0.55]), s, s, s,
+                                reps=1, seed=0)
+
+    def test_negative_sigma_sq_refused(self):
+        grid, lam, s = [0.5, 1.0, 1.5, 2.0], [0.9, 0.8, 0.7, 0.6], np.full(4, 0.01)
+        with pytest.raises(DomainError, match="nonnegative"):
+            ri.LambdaTildeTable(grid, lam, s, np.full(4, -0.1), s, reps=1, seed=0)
+
     def test_lambda_bounds(self, stable_table):
         assert stable_table.lam.min() >= 0.5
         assert stable_table.lam.max() <= 1.0
@@ -245,10 +257,17 @@ class TestTable:
     def test_cached_inverse_matches_fresh_build(self, stable_table):
         lam, grid = stable_table.lam, stable_table.alpha_grid
         keep = np.concatenate([lam[:-1] > lam[1:], [True]])
-        fresh = PchipInterpolator(lam[keep][::-1], grid[keep][::-1], extrapolate=False)
         v = np.random.default_rng(12).uniform(lam[-1], lam[0], 50)
         assert [ri.invert_lambda_tilde(x, stable_table) for x in v] == \
-            [float(fresh(x)) for x in v]
+            [float(np.interp(x, lam[keep][::-1], grid[keep][::-1])) for x in v]
+
+    def test_inverse_is_exact_at_every_kept_knot(self, stable_table):
+        # the first knot too: lam[0] inverts to the grid's first alpha, not an ulp below it
+        lam, grid = stable_table.lam, stable_table.alpha_grid
+        keep = np.concatenate([lam[:-1] > lam[1:], [True]])
+        assert keep[0] and keep.sum() >= 2
+        assert [ri.invert_lambda_tilde(x, stable_table) for x in lam[keep]] == \
+            grid[keep].tolist()
 
     def test_anchor_inverts_near_two(self, stable_table):
         # 0.72 sits at (or numerically just past) the alpha=2 end of the curve
@@ -270,6 +289,16 @@ class TestEstimateAlpha:
         dl = stable_table.interp("dlam", alpha)
         joint = math.hypot(se, stable_table.interp("lam_stderr", alpha) / abs(dl))
         assert abs(hats.mean() - alpha) <= 3 * joint
+
+    def test_monotone_path_inverts_to_the_first_alpha(self):
+        # r_tilde = 1 is the curve's first value: no clamp, and the slope is read at 0.5
+        s = np.full(4, 0.01)
+        table = ri.LambdaTildeTable([0.5, 1.0, 1.5, 2.0], [1.0, 0.7, 0.65, 0.6], s, s, s,
+                                    reps=1, seed=0)
+        est = ri.estimate_alpha(ri.SampledPath(np.arange(257.0)), table)
+        assert est.statistic.value == 1.0
+        assert (est.alpha_hat, est.clamped) == (0.5, False)
+        assert est.stderr > 0
 
     def test_brownian_clamps_at_two(self, stable_table):
         hats = []
