@@ -14,6 +14,7 @@ combines the closed-form chain-rule prefactor with a Monte Carlo table of
 the statistic's variance.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -101,8 +102,25 @@ LAMBDA2_HIGH = lam(RHO2_AT_1)
 INVERT_TOL = 1e-10  # invert_Lambda2 stops once its H bracket is this narrow
 
 
+# Warm start of invert_Lambda2: the width of the bisection's last cell, the
+# knots H = j/16 that start Newton, and the value from which it is skipped.
+# Above Lambda_2(0.99) rho_2's denominator 8 - 2^(2H+1) cancels and the
+# float Lambda_2 is not monotone on the _CELL grid.
+_CELL = 2.0 ** math.floor(math.log2(INVERT_TOL))
+_KNOT_H = [j / 16 for j in range(16)] + [1.0]
+_KNOT_LAMBDA = [_lam(_rho_p(2, h)) for h in _KNOT_H[:-1]] + [LAMBDA2_HIGH]
+_WARM_BELOW = _lam(_rho_p(2, 0.99))
+
+
 def invert_Lambda2(v):
     """Unique H in (0,1) with Lambda_2(H) = v, by bisection.
+
+    The bisection halves [0, 1] until its bracket is at most INVERT_TOL
+    wide, which ends on a cell [k, k+1] * 2^-34 with
+    Lambda_2(lo) < v <= Lambda_2(hi), and returns that cell's midpoint.
+    For v below Lambda_2(0.99) it starts on that cell (see _last_cell), so
+    it makes no halving and returns the same point: the Newton start only
+    finds the cell.
 
     Raises RangeError (carrying the attainable interval) when v is not
     strictly inside (Lambda_2(0+), Lambda_2(1-)).
@@ -114,7 +132,7 @@ def invert_Lambda2(v):
             f"({LAMBDA2_LOW:.6f}, {LAMBDA2_HIGH:.6f}) of the second-order limit",
             low=LAMBDA2_LOW, high=LAMBDA2_HIGH,
         )
-    lo, hi = 0.0, 1.0
+    lo, hi = _last_cell(v) if v < _WARM_BELOW else (0.0, 1.0)
     while hi - lo > INVERT_TOL:
         mid = 0.5 * (lo + hi)
         if _lam(_rho_p(2, mid)) < v:
@@ -122,6 +140,34 @@ def invert_Lambda2(v):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _last_cell(v):
+    """The bisection's last bracket (lo, hi) for v, or (0, 1) if not found.
+
+    Two Newton steps from the knots put H within about 1e-13 of the root;
+    the cell holding it is confirmed by Lambda_2(lo) < v <= Lambda_2(hi),
+    moving at most twice to a neighbour.  Below _WARM_BELOW adjacent cells
+    differ in Lambda_2 by at least 6.7e-12, far above its float error, so
+    the confirmed cell is the one the bisection ends on.
+    """
+    i = bisect.bisect(_KNOT_LAMBDA, v)
+    h0, h1 = _KNOT_H[i - 1], _KNOT_H[i]
+    l0, l1 = _KNOT_LAMBDA[i - 1], _KNOT_LAMBDA[i]
+    h = h0 + (v - l0) * (h1 - h0) / (l1 - l0)
+    for _ in range(2):
+        r = _rho_p(2, h)
+        h -= (_lam(r) - v) * _dH_dLambda2(h, r)
+    k = math.floor(h / _CELL)
+    for _ in range(3):
+        lo, hi = k * _CELL, (k + 1) * _CELL
+        if _lam(_rho_p(2, lo)) >= v:
+            k -= 1
+        elif _lam(_rho_p(2, hi)) < v:
+            k += 1
+        else:
+            return lo, hi
+    return 0.0, 1.0
 
 
 def fbm_increment_cov(p, H, j):
@@ -159,14 +205,19 @@ def s2_sq(H, Sigma2):
     _check_H(H)
     if Sigma2 < 0:
         raise DomainError(f"asymptotic variance must be >= 0, got {Sigma2}")
-    r = rho_p(2, H)
+    return _dH_dLambda2(H, rho_p(2, H)) ** 2 * Sigma2
+
+
+def _dH_dLambda2(H, r):
+    """Reciprocal slope 1/Lambda_2'(H) given r = rho_2(H): the root of
+    s2_sq's prefactor, and the Newton step of invert_Lambda2."""
     num = math.pi * (8.0 - 2.0 ** (2 * H + 1)) ** 2 * (1.0 - r) * math.sqrt(1.0 - r * r)
     den = (math.log(2.0) - math.log1p(r)) * (
         2.0 ** (2 * H + 2) * 9.0 * math.log(2.0)
         - 3.0 ** (2 * H) * 16.0 * math.log(3.0)
         + 6.0 ** (2 * H) * 4.0 * math.log(1.5)
     )
-    return (num / den) ** 2 * Sigma2
+    return num / den
 
 
 # ----------------------------------------------------------------------

@@ -61,22 +61,24 @@ def psi_terms(x, y, kind):
     Returns (terms, count of pairs where x and y both vanish): the 0/0
     terms for psi, the both-zero pairs for psi0.  |x+y| and |x|+|y| are
     formed in place; the 0/0 terms, exactly those with |x|+|y| == 0, are
-    then set to 1.  psi needs |x|+|y| finite for finite x and y; _fitted
-    scales inputs that could overflow.
+    then set to 1, once a minimum of |x|+|y| has shown that there are any
+    (np.fmin skips NaN, so a NaN term cannot hide them).  psi needs
+    |x|+|y| finite for finite x and y; _fitted scales inputs that could
+    overflow.
     """
     if kind == "psi":
         den = np.abs(x)
         t = np.abs(y)
         den += t
-        zero = den == 0.0
         with np.errstate(invalid="ignore"):
             np.add(x, y, out=t)
             np.abs(t, out=t)
             t /= den
-        count = int(np.count_nonzero(zero))
-        if count:
-            t[zero] = 1.0
-        return t, count
+        if np.fmin.reduce(den, initial=1.0) != 0.0:
+            return t, 0
+        zero = den == 0.0
+        t[zero] = 1.0
+        return t, int(np.count_nonzero(zero))
     t = np.sign(x)
     t *= np.sign(y)
     np.greater_equal(t, 0.0, out=t)
@@ -109,17 +111,16 @@ def _extract(b, q, kept):
     """Append exact partial sums of the block b to kept; their exact sum is
     sum(b).
 
-    Works in place on b, up to _BLOCK terms that must be finite and below
-    2^1000 in magnitude; q is scratch of b's size.  With |b_i| <= 2^e and
-    sigma = 2^(_M+e), the part q = (b + sigma) - sigma of each term is a
-    multiple of 2^-53 sigma and at most 2^e, so the numpy sum of q is exact;
-    b - q is exact and at most 2^-53 sigma, which starts the next level.  A
-    remainder still left below _TINY is kept term by term.
+    Works in place on b, up to _BLOCK terms that must lie in [0, 1], as
+    psi and psi0 terms do; q is scratch of b's size.  With |b_i| <= 2^e and
+    sigma = 2^(_M+e), starting at e = 1, the part q = (b + sigma) - sigma
+    of each term is a multiple of 2^-53 sigma and at most 2^e, so the numpy
+    sum of q is exact; b - q is exact and at most 2^-53 sigma, which starts
+    the next level.  A remainder still left below _TINY is kept term by
+    term.  math.fsum of the parts is the correctly rounded sum of b however
+    the levels split it.
     """
-    top = float(np.abs(b, out=q).max(initial=0.0))
-    if top == 0.0:
-        return
-    sigma = math.ldexp(1.0, _M + math.frexp(top)[1])
+    sigma = math.ldexp(1.0, _M + 1)
     while True:
         np.add(b, sigma, out=q)
         q -= sigma

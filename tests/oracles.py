@@ -6,7 +6,8 @@ quadratic forms of the raw covariance, truncated lag sums of empirical
 covariances, direct quadrature of spectral densities, and plain Python
 float loops for filtered increments and psi.  summary_ref is the one
 statistic formula without blocks: whole-path increments and terms, then
-math.fsum.
+math.fsum.  invert_Lambda2_bisection is the inversion's bisection run
+from (0, 1) at every value, without a warm start.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 import roughir as ri
+from roughir.gaussian import INVERT_TOL, _lam, _rho_p
 from roughir.statistics import psi_terms
 
 
@@ -71,6 +73,19 @@ def summary_ref(values, coeffs, kind, window=slice(None)):
     d = ri.filtered_increment_array(values, coeffs)[window]
     terms, zeros = psi_terms(d[:-1], d[1:], kind)
     return math.fsum(terms) / terms.size, terms.size, zeros
+
+
+def invert_Lambda2_bisection(v):
+    """H with Lambda_2(H) = v: halve (0, 1) until the bracket is at most
+    INVERT_TOL wide and return its midpoint (v must be attainable)."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > INVERT_TOL:
+        mid = 0.5 * (lo + hi)
+        if _lam(_rho_p(2, mid)) < v:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def fbm_cov(H, s, t):

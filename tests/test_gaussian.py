@@ -8,10 +8,11 @@ import pytest
 import roughir as ri
 from roughir.errors import DomainError, InterpolationError, RangeError, SizeError
 from roughir.experiments import exp_clt_fbm
-from roughir.gaussian import RHO2_AT_0, RHO2_AT_1
+from roughir.gaussian import LAMBDA2_HIGH, LAMBDA2_LOW, RHO2_AT_0, RHO2_AT_1
 from roughir.rng import derive_seed
 
-from .oracles import epsi_gauss_quad, p_increment_cov_quadratic_form, sigma_p_lag_sum
+from .oracles import (epsi_gauss_quad, invert_Lambda2_bisection, p_increment_cov_quadratic_form,
+                      sigma_p_lag_sum)
 
 
 class TestLam:
@@ -105,6 +106,22 @@ class TestInvertLambda2:
             h_back = ri.invert_Lambda2(v)
             assert h_back == pytest.approx(h, abs=1e-8)
             assert ri.Lambda_p(2, h_back) == pytest.approx(v, abs=1e-9)
+
+    def test_same_bits_as_the_plain_bisection(self):
+        # uniform draws; Lambda_2 at dyadic H and both its float neighbours;
+        # values 1e-3 to 1e-15 from each end; and the range above
+        # Lambda_2(0.99), where the bisection runs from (0, 1) alone
+        low, high = LAMBDA2_LOW, LAMBDA2_HIGH
+        rng = np.random.default_rng(27)
+        at_dyadic = [ri.Lambda_p(2, j / 1024) for j in range(1, 1024)]
+        top = ri.Lambda_p(2, 0.99)
+        vs = (rng.uniform(low, high, 6000).tolist()
+              + [w for x in at_dyadic for w in (math.nextafter(x, 0), x, math.nextafter(x, 1))]
+              + [x for e in range(3, 16) for x in (low + 10.0**-e, high - 10.0**-e)]
+              + rng.uniform(top, high, 800).tolist() + (high - rng.uniform(0, 1e-9, 200)).tolist())
+        assert len(vs) > 10_000
+        got = [ri.invert_Lambda2(v).hex() for v in vs]
+        assert got == [invert_Lambda2_bisection(v).hex() for v in vs]
 
     def test_paper_anchor_inversion(self):
         assert ri.invert_Lambda2(0.5881) == pytest.approx(0.5, abs=1e-3)

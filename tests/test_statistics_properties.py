@@ -81,8 +81,14 @@ def test_exact_sum_is_fsum_at_block_edges(seed, size):
     assert _same_float(_extracted_sum(t), math.fsum(t))
 
 
-# pair counts at and either side of one and two blocks of the walk
+# pair counts at and either side of one and two blocks of the walk, and
+# short paths that the walk takes in one block
 _BLOCK_PAIRS = [b + e for b in (2**15, 2 * 2**15) for e in (-1, 0, 1)]
+_SHORT_PAIRS = [14, 4094]
+_STATS = ["r_pn1", "r_pn2", "r0_pn2", "r_an", "r_local", "r_tilde_2n", "r0_tilde_2n"]
+# r_local's window holds more than one block, so it takes no short count
+_stat_and_pairs = st.sampled_from(_STATS).flatmap(lambda s: st.tuples(
+    st.just(s), st.sampled_from(_BLOCK_PAIRS + (_SHORT_PAIRS if s != "r_local" else []))))
 _A3 = ri.Filter([1.0, -1.0, -1.0, 1.0], p=2)
 
 
@@ -96,12 +102,11 @@ def _block_test_values(rng, n, shape):
 
 
 @settings(deadline=None, max_examples=40)
-@given(stat=st.sampled_from(["r_pn1", "r_pn2", "r0_pn2", "r_an", "r_local",
-                             "r_tilde_2n", "r0_tilde_2n"]),
-       pairs=st.sampled_from(_BLOCK_PAIRS), odd=st.booleans(),
+@given(stat_and_pairs=_stat_and_pairs, odd=st.booleans(),
        shape=st.sampled_from(["gauss", "sticky", "quantized"]),
        seed=st.integers(0, 2**32 - 1), t0=st.floats(0.3, 0.7), w=st.floats(0.9, 0.97))
-def test_block_walk_is_the_whole_path_formula(stat, pairs, odd, shape, seed, t0, w):
+def test_block_walk_is_the_whole_path_formula(stat_and_pairs, odd, shape, seed, t0, w):
+    stat, pairs = stat_and_pairs
     binomial = {p: ri.make_binomial_filter(p).coeffs for p in (1, 2)}
     # n and the selection that make `pairs` pairs; r_local's window is the
     # documented one, clipped to [0, n-3], and holds more than one block
