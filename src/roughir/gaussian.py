@@ -257,19 +257,26 @@ def sigma_p_mc(p, H, reps=500, path_len=4096, seed=0):
     the first-increment sequence has long memory beyond that point and
     the variance series diverges.
     """
-    from .simulators import FbmSampler  # local import: avoid a module cycle
-
     _check_H(H)
     _check_sigma_p(p, H)
+    return _sigma_cell(H, (p,), reps, path_len, seed)[0]
+
+
+def _sigma_cell(H, orders, reps, path_len, seed):
+    """(path_len * var, its stderr) of the p-order statistic for each p in
+    `orders`, all read off one set of `reps` fBm paths.  Path i comes from
+    the stream (seed, "stat_mc", orders[0], i)."""
+    from .simulators import FbmSampler  # local import: avoid a module cycle
+
     if reps < 100:
         raise SizeError(f"need at least 100 replications, got {reps}")
     sampler = FbmSampler(path_len, H)
-    vals = np.empty(reps)
+    vals = np.empty((len(orders), reps))
     for i in range(reps):
-        rng = derive_rng(seed, "stat_mc", p, i)
-        vals[i] = r_pn(sampler.sample_path(rng), p).value
-    v, se = _var_stderr(vals)
-    return path_len * v, path_len * se
+        path = sampler.sample_path(derive_rng(seed, "stat_mc", orders[0], i))
+        for k, p in enumerate(orders):
+            vals[k, i] = r_pn(path, p).value
+    return [tuple(path_len * x for x in _var_stderr(v)) for v in vals]
 
 
 # ----------------------------------------------------------------------
@@ -339,8 +346,10 @@ def build_variance_table(reps=2000, path_len=4096, seed=20240601,
                          h_grid=None, progress=None):
     """Build the Sigma_p Monte Carlo table over the H grid (step 0.05).
 
-    Every (p, H) cell gets its own derived seed, so the table is
-    reproducible and independent of build order.
+    Every H gets its own derived seed, so the table is reproducible and
+    independent of build order.  Both orders read the one set of paths
+    drawn at an H, so the i-th Sigma_2 entry is
+    sigma_p_mc(2, H, reps, path_len, derive_seed(seed, 2, i)) to the bit.
     """
     grid = _grid(h_grid, H_GRID_DEFAULT, "H")
     s1 = np.full(grid.size, np.nan)
@@ -348,9 +357,12 @@ def build_variance_table(reps=2000, path_len=4096, seed=20240601,
     s2 = np.empty(grid.size)
     s2e = np.empty(grid.size)
     for i, H in enumerate(grid):
-        s2[i], s2e[i] = sigma_p_mc(2, float(H), reps, path_len, derive_seed(seed, 2, i))
-        if _sigma1_exists(H):
-            s1[i], s1e[i] = sigma_p_mc(1, float(H), reps, path_len, derive_seed(seed, 1, i))
+        _check_H(H)
+        orders = (2, 1) if _sigma1_exists(H) else (2,)
+        cells = _sigma_cell(H, orders, reps, path_len, derive_seed(seed, 2, i))
+        s2[i], s2e[i] = cells[0]
+        if len(cells) == 2:
+            s1[i], s1e[i] = cells[1]
         if progress is not None:
             progress(i + 1, grid.size)
     return VarianceTable(grid, s1, s1e, s2, s2e, reps=reps, path_len=path_len, seed=seed)

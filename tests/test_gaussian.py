@@ -1,6 +1,6 @@
 import math
 import warnings
-from statistics import NormalDist
+from statistics import NormalDist, variance
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import roughir as ri
 from roughir.errors import DomainError, InterpolationError, RangeError, SizeError
 from roughir.experiments import exp_clt_fbm
 from roughir.gaussian import LAMBDA2_HIGH, LAMBDA2_LOW, RHO2_AT_0, RHO2_AT_1
-from roughir.rng import derive_seed
+from roughir.rng import derive_rng, derive_seed
 
 from .oracles import (epsi_gauss_quad, invert_Lambda2_bisection, p_increment_cov_quadratic_form,
                       sigma_p_lag_sum)
@@ -231,6 +231,56 @@ class TestSigmaPMc:
         v_mc, e_mc = ri.sigma_p_mc(2, 0.5, reps=400, path_len=2048, seed=55)
         v_lag, e_lag = sigma_p_lag_sum(2, 0.5, reps=400, path_len=2048, seed=56, J=50)
         assert abs(v_mc - v_lag) <= 3 * math.hypot(e_mc, e_lag)
+
+    @pytest.mark.parametrize("p, value, stderr", [
+        (1, "0x1.1a11d333bf5abp-3", "0x1.05011acc35025p-6"),
+        (2, "0x1.1795d252bae84p-3", "0x1.2da7ef268b22cp-6"),
+    ])
+    def test_bits_pinned(self, p, value, stderr):
+        # each order keeps drawing its own stream (seed, "stat_mc", p, i)
+        v, e = ri.sigma_p_mc(p, 0.5, reps=100, path_len=128, seed=9)
+        assert (v.hex(), e.hex()) == (value, stderr)
+
+
+class TestSharedPaths:
+    """build_variance_table draws one set of paths per H and reads both orders off it."""
+
+    GRID = (0.4, 0.7, 0.8)  # straddles 3/4: Sigma_1 at the first two H only
+    REPS, N, SEED = 100, 128, 41
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return ri.build_variance_table(reps=self.REPS, path_len=self.N, seed=self.SEED,
+                                       h_grid=self.GRID)
+
+    def test_sigma2_is_sigma_p_mc_to_the_bit(self, table):
+        for i, H in enumerate(self.GRID):
+            cell = ri.sigma_p_mc(2, H, self.REPS, self.N, derive_seed(self.SEED, 2, i))
+            assert (table.sigma2[i], table.sigma2_stderr[i]) == cell
+
+    def test_sigma1_reads_the_sigma2_paths(self, table):
+        for i, H in enumerate(self.GRID):
+            if H >= 0.75:
+                assert np.isnan(table.sigma1[i]) and np.isnan(table.sigma1_stderr[i])
+                continue
+            sampler, seed = ri.FbmSampler(self.N, H), derive_seed(self.SEED, 2, i)
+            x = [ri.r_pn(sampler.sample_path(derive_rng(seed, "stat_mc", 2, r)), 1).value
+                 for r in range(self.REPS)]
+            # the variance and its stderr in exact-rational and fsum arithmetic
+            v, mean = variance(x), math.fsum(x) / self.REPS
+            m4 = math.fsum((a - mean) ** 4 for a in x) / self.REPS
+            se = math.sqrt((m4 - (self.REPS - 3) / (self.REPS - 1) * v * v) / self.REPS)
+            assert table.sigma1[i] == pytest.approx(self.N * v, rel=1e-12)
+            assert table.sigma1_stderr[i] == pytest.approx(self.N * se, rel=1e-9)
+
+    def test_one_path_set_per_h(self, monkeypatch):
+        draws = []
+        sample_path = ri.FbmSampler.sample_path
+        monkeypatch.setattr(ri.FbmSampler, "sample_path",
+                            lambda self, rng: draws.append(1) or sample_path(self, rng))
+        ri.build_variance_table(reps=self.REPS, path_len=self.N, seed=self.SEED,
+                                h_grid=self.GRID)
+        assert len(draws) == self.REPS * len(self.GRID)
 
 
 def test_derive_seed_is_the_seed_sequence_word():
