@@ -21,7 +21,7 @@ n, H = 2**13, 0.65
 path = ri.sim_fbm(n, H, seed=12345)
 est = ri.estimate_H(path, table)
 print(f"\ntrue H = {H}")
-print(f"estimate  {est.h_hat:.4f} +- {est.stderr:.4f}  "
+print(f"estimate  {est.value:.4f} +- {est.stderr:.4f}  "
       f"(95% CI [{est.ci_low:.4f}, {est.ci_high:.4f}])")
 print(f"raw statistic {est.statistic.value:.5f} over {est.statistic.terms} terms")
 
@@ -29,7 +29,7 @@ print("\nsame path under a smooth trend 3*(2+sin(2 pi t))*X + t^2:")
 trended = ri.apply_trend(path, lambda t: 6.0 + 3.0 * math.sin(2 * math.pi * t),
                          lambda t: t * t)
 est_t = ri.estimate_H(trended, table)
-print(f"estimate  {est_t.h_hat:.4f}  (shift {abs(est_t.h_hat - est.h_hat):.5f})")
+print(f"estimate  {est_t.value:.4f}  (shift {abs(est_t.value - est.value):.5f})")
 
 print("\ncoverage check over 100 seeded replications:")
 hits = 0

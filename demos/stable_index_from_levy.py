@@ -24,7 +24,7 @@ for alpha in (0.8, 1.2, 1.6, 2.0):
     path = ri.sim_levy_stable(n, alpha, seed=40 + int(10 * alpha))
     est = ri.estimate_alpha(path, table)
     note = "  (clamped at boundary)" if est.clamped else ""
-    print(f"  true {alpha:.1f}: alpha_hat = {est.alpha_hat:.3f} "
+    print(f"  true {alpha:.1f}: alpha_hat = {est.value:.3f} "
           f"+- {est.stderr:.3f}{note}")
 
 print("\nthe sign-indicator statistic cannot tell these apart:")
@@ -37,10 +37,10 @@ print("\ncompound path: Brownian part + finite-rate jumps looks Gaussian "
       "at small scales:")
 comp = ri.sim_levy_compound(n, 1.0, seed=77, rate=10.0, jump_scale=3.0)
 est = ri.estimate_alpha(comp, table)
-print(f"  alpha_hat = {est.alpha_hat:.3f} (the Brownian component dominates, "
+print(f"  alpha_hat = {est.value:.3f} (the Brownian component dominates, "
       "pushing the estimate to 2)")
 
 comp2 = ri.sim_levy_compound(n, 0.0, seed=78, stable_alpha=1.2, stable_c=1.0,
                              stable_cutoff=1e-5)
 est2 = ri.estimate_alpha(comp2, table)
-print(f"  truncated power-law small jumps (index 1.2): alpha_hat = {est2.alpha_hat:.3f}")
+print(f"  truncated power-law small jumps (index 1.2): alpha_hat = {est2.value:.3f}")

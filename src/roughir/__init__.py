@@ -11,7 +11,7 @@ theorems at desk scale.
 from .errors import (DomainError, FactorizationError, InterpolationError,
                      ParseError, RangeError, ResolutionError, RoughIRError,
                      SimulationError, SizeError)
-from .gaussian import (HurstEstimate, VarianceTable, build_variance_table,
+from .gaussian import (Estimate, VarianceTable, build_variance_table,
                        estimate_H, fbm_increment_cov, invert_Lambda2, lam,
                        lam0, Lambda_p, rho_p, s2_sq, sigma_p_mc)
 from .increments import (Filter, SampledPath, filtered_increment,
@@ -22,7 +22,7 @@ from .rng import derive_rng
 from .simulators import (FbmSampler, MbmSampler, SimSpec, apply_trend,
                          sim_brownian, sim_diffusion, sim_fbm, sim_levy_compound,
                          sim_levy_stable, sim_mbm, sim_multiscale_fbm, simulate)
-from .stable import (AlphaEstimate, LambdaTildeTable, build_stable_table,
+from .stable import (LambdaTildeTable, build_stable_table,
                      estimate_alpha, invert_lambda_tilde, sample_sym_stable)
 from .statistics import (IRSummary, psi, psi0, r0_pn, r0_tilde_2n, r_an,
                          r_local, r_pn, r_tilde_2n)

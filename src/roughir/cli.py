@@ -12,8 +12,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import tableio
 from .errors import RangeError, RoughIRError
 from .experiments import EXPERIMENT_NAMES, EXPERIMENTS, run_experiment
@@ -74,33 +72,29 @@ def cmd_estimate(args):
     out = [f"input={args.input}", f"n={path.n}", f"method={args.method}"]
     if args.p != 2:
         out.append(f"r_p{args.p}={r_pn(path, args.p).value:.17g}")
-    if args.method != "local":
-        stat = r_pn(path, 2) if args.method == "hurst" else r_tilde_2n(path)
-        _print_summary(stat, out)
-        if stat.degenerate:
-            return _verdict_failure(out, "statistic is 0/0-dominated; no roughness information")
-    if args.method == "hurst":
-        try:
-            est = estimate_H(path, _load_or_build("gaussian", args), conf=args.confidence)
-        except RangeError as e:
-            return _verdict_failure(out, e)
-        out += [f"h_hat={est.h_hat:.6f}", f"stderr={est.stderr:.6f}",
-                f"ci_low={est.ci_low:.6f}", f"ci_high={est.ci_high:.6f}",
-                f"confidence={est.confidence}"]
-    elif args.method == "alpha":
-        est = estimate_alpha(path, _load_or_build("stable", args), conf=args.confidence)
-        out += [f"alpha_hat={est.alpha_hat:.6f}", f"stderr={est.stderr:.6f}",
-                f"ci_low={est.ci_low:.6f}", f"ci_high={est.ci_high:.6f}",
-                f"confidence={est.confidence}"]
-        if est.clamped:
-            out.append("diagnostic=clamped (statistic outside the tabulated range)")
-    else:  # local
+    if args.method == "local":
         stat = r_local(path, args.t0, args.window)
         _print_summary(stat, out)
         try:
             out.append(f"h_local={invert_Lambda2(stat.value):.6f}")
         except RangeError as e:
             out.append(f"h_local=out-of-range ({e.low:.4f}, {e.high:.4f})")
+    else:
+        hurst = args.method == "hurst"
+        stat = r_pn(path, 2) if hurst else r_tilde_2n(path)
+        _print_summary(stat, out)
+        if stat.degenerate:
+            return _verdict_failure(out, "statistic is 0/0-dominated; no roughness information")
+        estimator, kind = (estimate_H, "gaussian") if hurst else (estimate_alpha, "stable")
+        try:
+            est = estimator(path, _load_or_build(kind, args), conf=args.confidence)
+        except RangeError as e:
+            return _verdict_failure(out, e)
+        out += [f"{'h' if hurst else 'alpha'}_hat={est.value:.6f}", f"stderr={est.stderr:.6f}",
+                f"ci_low={est.ci_low:.6f}", f"ci_high={est.ci_high:.6f}",
+                f"confidence={est.confidence}"]
+        if est.clamped:
+            out.append("diagnostic=clamped (statistic outside the tabulated range)")
     text = "\n".join(out)
     print(text)
     if args.out:
@@ -183,8 +177,7 @@ def _build_spec(args):
 def cmd_simulate(args):
     spec = _build_spec(args)
     path = simulate(spec)
-    file_params = {k: v for k, v in spec.params.items() if np.isscalar(v)}
-    write_path(path, args.out, kind=spec.kind, seed=spec.seed, params=file_params)
+    write_path(path, args.out, kind=spec.kind, seed=spec.seed, params=spec.params)
     print(f"wrote {args.out} (kind={spec.kind}, n={spec.n}, seed={spec.seed})")
     return EXIT_OK
 

@@ -252,7 +252,7 @@ def exp_levy_clt(stable_table, alphas=(0.8, 1.2, 1.8), n=8192, reps=500,
             path = _path_from_increments(inc)
             est = estimate_alpha(path, stable_table)
             rt[i] = est.statistic.value
-            a_hats[i] = est.alpha_hat
+            a_hats[i] = est.value
             r0[i] = r0_tilde_2n(path).value
         rep.replications[f"alpha_hat_{alpha}"] = a_hats.tolist()
         rep.replications[f"r_tilde_{alpha}"] = rt.tolist()

@@ -379,29 +379,35 @@ def _normal_quantile(path, conf):
 
 
 @dataclass(frozen=True)
-class HurstEstimate:
-    """Point estimate of the Hurst exponent with a normal-theory interval."""
+class Estimate:
+    """Point estimate of H (estimate_H) or alpha (estimate_alpha) with the
+    normal-theory interval value -+ z stderr at the given confidence.
+    clamped marks an alpha pushed back to the end of the table's grid when
+    the statistic lay outside its range; an H estimate is never clamped."""
 
-    h_hat: float
+    value: float
     stderr: float
     ci_low: float
     ci_high: float
     statistic: IRSummary
     confidence: float
+    clamped: bool = False
+
+    # names the benchmark reads; they stay until its next change (ROADMAP item 8)
+    h_hat = alpha_hat = property(lambda self: self.value)
 
 
 def estimate_H(path, variance_table, conf=0.95):
     """Hurst estimate from the second-order ratio statistic of one path.
 
-    h_hat inverts the closed-form limit on the observed statistic; the
-    standard error is sqrt(s2_sq(h_hat, Sigma_2(h_hat))) / sqrt(n) with
-    Sigma_2 interpolated from the table, and the interval uses normal
-    quantiles at the requested confidence.
+    The Estimate's value inverts the closed-form limit on the observed
+    statistic; the standard error is sqrt(s2_sq(value, Sigma_2(value))) /
+    sqrt(n) with Sigma_2 interpolated from the table, and the interval uses
+    normal quantiles at the requested confidence.
     """
     z = _normal_quantile(path, conf)
     stat = r_pn(path, 2)
     h_hat = invert_Lambda2(stat.value)  # RangeError propagates with bounds
     sigma2 = variance_table.sigma(2, h_hat)
     se = math.sqrt(s2_sq(h_hat, sigma2)) / math.sqrt(path.n)
-    return HurstEstimate(h_hat=h_hat, stderr=se, ci_low=h_hat - z * se,
-                         ci_high=h_hat + z * se, statistic=stat, confidence=conf)
+    return Estimate(h_hat, se, h_hat - z * se, h_hat + z * se, stat, conf)

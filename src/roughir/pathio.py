@@ -64,13 +64,21 @@ def _data_rows(lines, meta):
             yield lineno, line.split(SEP)
 
 
+def _param_text(v, seps=";:"):
+    """v for a params header without ',': a sequence's items joined by ';',
+    the fields of a nested one (a knot row, a band) by ':', else str(v)."""
+    if not seps or not isinstance(v, (list, tuple, np.ndarray)):
+        return f"{v}"
+    return seps[0].join(_param_text(x, seps[1:]) for x in v)
+
+
 def write_path(path, filename, kind="data", seed=None, params=None):
     """Write a SampledPath with its provenance header."""
     meta = {"n": path.n, "kind": kind}
     if seed is not None:
         meta["seed"] = seed
     if params:
-        meta["params"] = ",".join(f"{k}={v}" for k, v in params.items())
+        meta["params"] = ",".join(f"{k}={_param_text(v)}" for k, v in params.items())
     # Python floats format faster than numpy scalars, to the same digits
     write_rows(filename, meta, zip(path.times().tolist(), path.values.tolist()))
 

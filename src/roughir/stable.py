@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RangeError, SizeError
-from .gaussian import _grid, _normal_quantile
+from .gaussian import Estimate, _grid, _normal_quantile
 from .increments import _frozen
 from .rng import derive_rng
-from .statistics import IRSummary, psi_terms, r_tilde_2n
+from .statistics import psi_terms, r_tilde_2n
 
 ALPHA_GRID_DEFAULT = np.round(np.arange(0.05, 2.0001, 0.05), 10)
 
@@ -88,8 +88,9 @@ def _psi_moments(z):
     (reps, 3) stable draw: (mean of A, its stderr, _sigma_sq(A, B), the
     stderr of that from 40 batch estimates).
     """
-    A, _ = psi_terms(z[:, 0], z[:, 1], "psi")
-    B, _ = psi_terms(z[:, 1], z[:, 2], "psi")
+    with np.errstate(invalid="ignore"):
+        A, _ = psi_terms(z[:, 0], z[:, 1], "psi")
+        B, _ = psi_terms(z[:, 1], z[:, 2], "psi")
     reps, batches = A.size, 40
     bs = reps // batches
     per = np.array([_sigma_sq(A[k * bs:(k + 1) * bs], B[k * bs:(k + 1) * bs])
@@ -216,30 +217,14 @@ def invert_lambda_tilde(v, table):
     return float(np.interp(v, table._lam_kept, table._alpha_kept))
 
 
-@dataclass(frozen=True)
-class AlphaEstimate:
-    """Point estimate of the stable index with a normal-theory interval.
-
-    clamped marks estimates pushed back to the grid boundary when the
-    observed statistic inverted outside (0, 2]."""
-
-    alpha_hat: float
-    stderr: float
-    ci_low: float
-    ci_high: float
-    statistic: IRSummary
-    confidence: float
-    clamped: bool = False
-
-
 def estimate_alpha(path, table, conf=0.95):
     """Stable-index estimate from the disjoint-pair ratio statistic.
 
-    alpha_hat inverts the smoothed Monte Carlo curve on r_tilde_2n; the
-    standard error is sqrt(sigma_tilde^2 / dlam^2) / sqrt(n) (Delta
-    method on the curve's slope, which every table keeps below 0).
-    Out-of-range statistics clamp to the nearest boundary instead of
-    failing: sampling noise routinely crosses the alpha = 2 edge.
+    The Estimate's value inverts the smoothed Monte Carlo curve on
+    r_tilde_2n; the standard error is sqrt(sigma_tilde^2 / dlam^2) / sqrt(n)
+    (Delta method on the curve's slope, which every table keeps below 0).
+    An out-of-range statistic clamps to the nearest grid end and sets
+    clamped: sampling noise routinely crosses the alpha = 2 edge.
     """
     z = _normal_quantile(path, conf)
     stat = r_tilde_2n(path)
@@ -253,5 +238,4 @@ def estimate_alpha(path, table, conf=0.95):
     dl = table.interp("dlam", a_hat)
     sig = table.interp("sigma_sq", a_hat)
     se = math.sqrt(sig) / abs(dl) / math.sqrt(path.n)
-    return AlphaEstimate(alpha_hat=a_hat, stderr=se, ci_low=a_hat - z * se,
-                         ci_high=a_hat + z * se, statistic=stat, confidence=conf, clamped=clamped)
+    return Estimate(a_hat, se, a_hat - z * se, a_hat + z * se, stat, conf, clamped)

@@ -45,7 +45,8 @@ def psi(x, y):
     """|x+y| / (|x|+|y|), with 0/0 := 1.  Total for finite x and y,
     0-homogeneous, in [0,1]."""
     xy = _fitted(np.array([[x], [y]], float), 2.0)
-    return float(psi_terms(xy[0], xy[1], "psi")[0][0])
+    with np.errstate(invalid="ignore"):
+        return float(psi_terms(xy[0], xy[1], "psi")[0][0])
 
 
 def psi0(x, y):
@@ -64,16 +65,16 @@ def psi_terms(x, y, kind):
     then set to 1, once a minimum of |x|+|y| has shown that there are any
     (np.fmin skips NaN, so a NaN term cannot hide them).  psi needs
     |x|+|y| finite for finite x and y; _fitted scales inputs that could
-    overflow.
+    overflow.  The caller holds np.errstate(invalid="ignore") for psi,
+    whose 0/0 (and inf/inf) terms divide before they are set.
     """
     if kind == "psi":
         den = np.abs(x)
         t = np.abs(y)
         den += t
-        with np.errstate(invalid="ignore"):
-            np.add(x, y, out=t)
-            np.abs(t, out=t)
-            t /= den
+        np.add(x, y, out=t)
+        np.abs(t, out=t)
+        t /= den
         if np.fmin.reduce(den, initial=1.0) != 0.0:
             return t, 0
         zero = den == 0.0

@@ -71,7 +71,8 @@ def summary_ref(values, coeffs, kind, window=slice(None)):
     increments selected by window: the full-length increment array, its
     terms, and math.fsum over all of them at once."""
     d = ri.filtered_increment_array(values, coeffs)[window]
-    terms, zeros = psi_terms(d[:-1], d[1:], kind)
+    with np.errstate(invalid="ignore"):
+        terms, zeros = psi_terms(d[:-1], d[1:], kind)
     return math.fsum(terms) / terms.size, terms.size, zeros
 
 

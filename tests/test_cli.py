@@ -71,6 +71,93 @@ def test_cli_commands_load_no_scipy(cold_inputs, command):
     assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
 
 
+class TestEstimateOutputPinned:
+    """Every line `roughir estimate` prints, in order, each value formatted
+    from the library's own result on the same file and table."""
+
+    DEGENERATE = ("diagnostic=degenerate (0/0 convention dominates; "
+                  "constant or heavily quantized input)")
+
+    @pytest.fixture(scope="class")
+    def files(self, cold_inputs, tmp_path_factory):
+        d = tmp_path_factory.mktemp("pinned")
+        sine = ri.SampledPath(np.sin(2 * np.pi * np.linspace(0.0, 1.0, 1025)))
+        for name, path in [("levy", ri.sim_levy_stable(1024, 1.2, seed=5)), ("sine", sine),
+                           ("const", ri.SampledPath(np.full(64, 3.0))),
+                           ("steep", ri.sim_fbm(8192, 0.97, seed=0))]:
+            ri.write_path(path, str(d / f"{name}.tsv"))
+        for name in ("fbm", "gaussian", "stable"):
+            (d / f"{name}.tsv").write_bytes((cold_inputs / f"{name}.tsv").read_bytes())
+        return d
+
+    def estimate(self, d, capsys, method, name, *extra):
+        """(exit code, stdout lines, stderr, head lines, path) of one estimate
+        run; the head lines are those every run prints before its estimate."""
+        f = str(d / f"{name}.tsv")
+        out = d / "est.txt"
+        if out.exists():
+            out.unlink()
+        code = run("--table-dir", str(d), "estimate", "--strict", "--method", method,
+                   "--input", f, *extra, "--out", str(out))
+        captured = capsys.readouterr()
+        if code == 0:
+            assert out.read_text() == captured.out
+        else:
+            assert not out.exists()
+        path, _ = ri.read_path(f)
+        stat = {"hurst": lambda: ri.r_pn(path, 2), "alpha": lambda: ri.r_tilde_2n(path),
+                "local": lambda: ri.r_local(path, 0.5, 0.6)}[method]()
+        head = [f"input={f}", f"n={path.n}", f"method={method}",
+                f"statistic={stat.value:.17g}", f"terms={stat.terms}",
+                f"zero_over_zero={stat.zero_over_zero}"]
+        return code, captured.out.splitlines(), captured.err, head, path
+
+    @staticmethod
+    def interval(name, value, est):
+        return [f"{name}={value:.6f}", f"stderr={est.stderr:.6f}", f"ci_low={est.ci_low:.6f}",
+                f"ci_high={est.ci_high:.6f}", "confidence=0.95"]
+
+    def test_hurst(self, files, capsys):
+        code, lines, err, head, path = self.estimate(files, capsys, "hurst", "fbm")
+        est = ri.estimate_H(path, ri.load_variance_table(str(files / "gaussian.tsv")))
+        assert (code, err) == (0, "")
+        assert lines == head + self.interval("h_hat", est.h_hat, est)
+
+    @pytest.mark.parametrize("name, clamped", [("levy", False), ("sine", True)])
+    def test_alpha(self, files, capsys, name, clamped):
+        code, lines, err, head, path = self.estimate(files, capsys, "alpha", name)
+        est = ri.estimate_alpha(path, ri.load_stable_table(str(files / "stable.tsv")))
+        assert est.clamped == clamped
+        diagnostic = ["diagnostic=clamped (statistic outside the tabulated range)"]
+        assert (code, err) == (0, "")
+        assert lines == head + self.interval("alpha_hat", est.alpha_hat, est) + \
+            diagnostic * clamped
+
+    @pytest.mark.parametrize("name", ["fbm", "sine"])
+    def test_local(self, files, capsys, name):
+        code, lines, err, head, path = self.estimate(files, capsys, "local", name)
+        try:
+            h_local = f"{ri.invert_Lambda2(ri.r_local(path, 0.5, 0.6).value):.6f}"
+        except ri.RangeError as e:
+            h_local = f"out-of-range ({e.low:.4f}, {e.high:.4f})"
+        assert h_local.startswith("out-of-range") == (name == "sine")
+        assert (code, err) == (0, "")
+        assert lines == head + [f"h_local={h_local}"]
+
+    @pytest.mark.parametrize("method", ["hurst", "alpha"])
+    def test_degenerate(self, files, capsys, method):
+        code, lines, err, head, _ = self.estimate(files, capsys, method, "const")
+        assert (code, err) == (1, "error: statistic is 0/0-dominated; no roughness information\n")
+        assert lines == head + [self.DEGENERATE]
+
+    def test_hurst_out_of_grid(self, files, capsys):
+        code, lines, err, head, path = self.estimate(files, capsys, "hurst", "steep")
+        with pytest.raises(ri.InterpolationError) as exc:
+            ri.estimate_H(path, ri.load_variance_table(str(files / "gaussian.tsv")))
+        assert (code, err) == (1, f"error: {exc.value}\n")
+        assert lines == head
+
+
 class TestSimulate:
     def test_fbm_file_deterministic(self, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
@@ -138,6 +225,18 @@ class TestSimulate:
             path, meta = ri.read_path(str(out))
             assert path.n == 128
             assert meta["kind"] == kind.replace("-", "_")
+
+    @pytest.mark.parametrize("kind, extra, params", [
+        ("mbm", ["--h-start", "0.3", "--h-end", "0.7"], "H=0.0:0.3;1.0:0.7"),
+        ("multiscale-fbm", ["--band", "1:0.8", "--band", "1:0.4", "--breaks", "32"],
+         "breaks=32.0,sigmas=1.0;1.0,hursts=0.8;0.4"),
+        ("multiscale-fbm", ["--band", "2:0.5"], "breaks=,sigmas=2.0,hursts=0.5"),
+    ], ids=["mbm", "multiscale", "one-band"])
+    def test_list_parameters_in_header(self, tmp_path, kind, extra, params):
+        out = tmp_path / "x.tsv"
+        assert run("simulate", "--kind", kind, "--n", "64", "--seed", "1", *extra,
+                   "--out", str(out)) == 0
+        assert ri.read_path(str(out))[1]["params"] == params
 
     @pytest.mark.parametrize("argv, config, flag", [
         (["--kind", "fbm", "--n", "64"], None, "--h"),
